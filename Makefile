@@ -90,10 +90,8 @@ fuzz-smoke:
 # the steady-state broker + cache + encode path, not the solver. The
 # latency record (p50/p95/p99) is written to BENCH_loadgen.json and
 # appended to bench/history; the run fails below LOADTEST_MIN_RPS req/s.
-# The daemon asks for -solver-threads 2 to prove the parallel solver
-# path holds the floor under concurrent serving (the server clamps
-# workers x solver-threads to GOMAXPROCS, so on small runners this
-# degrades to 1 and the run is still honest). Run it twice and
+# The daemon solves on the dense stack, which never reads the par thread
+# budget, so it takes no solver-thread setting. Run it twice and
 # `make benchdiff` gates the serve-vs-serve pair (CI's serve-smoke job
 # does exactly that).
 LOADTEST_ADDR ?= 127.0.0.1:18211
@@ -101,13 +99,12 @@ LOADTEST_DURATION ?= 10s
 LOADTEST_MIN_RPS ?= 2000
 LOADTEST_CONCURRENCY ?= 32
 LOADTEST_HISTORY ?= bench/history
-LOADTEST_SOLVER_THREADS ?= 2
 loadtest:
 	@mkdir -p bin
 	$(GO) build -o bin/defenderd ./cmd/defenderd
 	$(GO) build -o bin/loadgen ./cmd/loadgen
 	@set -e; \
-	./bin/defenderd -addr $(LOADTEST_ADDR) -solver-threads $(LOADTEST_SOLVER_THREADS) & pid=$$!; \
+	./bin/defenderd -addr $(LOADTEST_ADDR) & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT INT TERM; \
 	ok=0; \
 	for i in $$(seq 1 100); do \

@@ -11,9 +11,9 @@
 // Usage:
 //
 //	defenderd [-addr :8080] [-debug-addr HOST:PORT] [-workers N]
-//	          [-solver-threads N] [-queue-cap N] [-queue-high-water N]
-//	          [-sync-wait 2s] [-solve-timeout 60s] [-max-vertices 256]
-//	          [-trace-out FILE] [-trace-sample 1.0] [-log-out FILE]
+//	          [-queue-cap N] [-queue-high-water N] [-sync-wait 2s]
+//	          [-solve-timeout 60s] [-max-vertices 256] [-trace-out FILE]
+//	          [-trace-sample 1.0] [-log-out FILE]
 //
 // -debug-addr exposes /metrics (JSON or Prometheus exposition), /slo,
 // expvar and net/http/pprof on a separate, private mux — the public
@@ -62,7 +62,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		addr         = fs.String("addr", ":8080", "public API listen address (\":0\" picks a free port)")
 		debugAddr    = fs.String("debug-addr", "", "serve /metrics, expvar and pprof on this private address (e.g. localhost:6060)")
 		workers      = fs.Int("workers", 0, "broker pool size: concurrent solves (0 = default 4)")
-		solverThr    = fs.Int("solver-threads", 0, "par thread budget per solve; workers x solver-threads is clamped to GOMAXPROCS (0 = default 1)")
 		queueCap     = fs.Int("queue-cap", 0, "broker queue bound before 429s (0 = default 64)")
 		syncWait     = fs.Duration("sync-wait", 0, "how long POST /v1/solve waits before converting to a 202 job (0 = default 2s)")
 		solveTimeout = fs.Duration("solve-timeout", 0, "per-solve deadline (0 = default 60s)")
@@ -107,7 +106,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 
 	api := server.New(server.Config{
 		Workers:         *workers,
-		SolverThreads:   *solverThr,
 		QueueCap:        *queueCap,
 		SyncWait:        *syncWait,
 		SolveTimeout:    *solveTimeout,
@@ -116,9 +114,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		QueueHighWater:  *queueHW,
 		RequestLog:      requestLog,
 	})
-	if got := api.SolverThreads(); *solverThr > 1 && got < *solverThr {
-		fmt.Fprintf(os.Stderr, "defenderd: -solver-threads %d clamped to %d (workers x threads <= GOMAXPROCS)\n", *solverThr, got)
-	}
 	if *debugAddr != "" {
 		bound, err := obs.StartDebugServerWith(*debugAddr, reg, map[string]http.Handler{
 			"/slo": api.SLOHandler(),

@@ -21,16 +21,10 @@ import (
 // every scaling record performs on its 10^6-vertex equilibria.
 var obsCSRVerifications = obs.Default().Counter("core.csr.verifications")
 
-// Parallel verification counter (catalogued in OBSERVABILITY.md): the
-// subset of core.csr.verifications that ran the multicore verifier body —
-// instances large enough, and the thread budget wide enough, for the
-// grain guard to engage. core.csr.verifications minus this is the inline
-// count.
-var obsCSRParallelVerifications = obs.Default().Counter("core.csr.parallel.verifications")
-
-// verifyParallelGrain is the index-range size below which the verifier
-// stays on its serial body; both bodies are bit-identical (differentially
-// tested), the guard is purely about fan-out cost.
+// verifyParallelGrain is the index-range size below which a verifier
+// scan runs inline instead of fanning out: the result is the same at any
+// worker count (differentially tested), the guard is purely about
+// fan-out cost.
 const verifyParallelGrain = 1 << 15
 
 // SparseEquilibrium is a k-matching mixed Nash equilibrium of Π_k(G) in
@@ -132,20 +126,14 @@ func algorithmACSRTrusted(c *graph.CSR, p cover.PartitionCSR) (us, vs []int32, e
 // Returns ErrKTooLarge when k exceeds the support size |IS|. Allocates
 // the equilibrium slices.
 func AlgorithmATupleCSR(c *graph.CSR, attackers, k int, p cover.PartitionCSR) (*SparseEquilibrium, error) {
-	return AlgorithmATupleCSRCtx(context.Background(), c, attackers, k, p)
+	return algorithmATupleCSRCtx(context.Background(), c, attackers, k, p, false)
 }
 
-// AlgorithmATupleCSRCtx is AlgorithmATupleCSR under ctx's trace: the
-// construction is timed as the span "core.atuple_csr" (histogram
-// core.atuple_csr.seconds), so sparse-path solves show the O(k·n)
-// construction leg separately from the partition search around it.
-func AlgorithmATupleCSRCtx(ctx context.Context, c *graph.CSR, attackers, k int, p cover.PartitionCSR) (*SparseEquilibrium, error) {
-	return algorithmATupleCSRCtx(ctx, c, attackers, k, p, false)
-}
-
-// algorithmATupleCSRCtx is the construction body; trusted skips the
-// partition re-validation for internal callers whose partition search
-// already validated it.
+// algorithmATupleCSRCtx is the construction body, timed as the span
+// "core.atuple_csr" (histogram core.atuple_csr.seconds) so sparse-path
+// solves show the O(k·n) construction leg separately from the partition
+// search around it. trusted skips the partition re-validation for
+// internal callers whose partition search already validated it.
 func algorithmATupleCSRCtx(ctx context.Context, c *graph.CSR, attackers, k int, p cover.PartitionCSR, trusted bool) (*SparseEquilibrium, error) {
 	sp, _ := obs.Default().StartSpanCtx(ctx, "core.atuple_csr")
 	sp.Annotate("k", strconv.Itoa(k))
@@ -241,12 +229,14 @@ func SolveKMatchingCSRCtx(ctx context.Context, c *graph.CSR, attackers, k int) (
 // is a proof of equilibrium; the differential tests cross-check it
 // against the dense VerifyCharacterization through ToTupleEquilibrium.
 //
-// Above verifyParallelGrain vertices the audit runs on the par worker
-// budget: the hit-count stamping and tuple-load recomputation are
-// embarrassingly parallel over tuples with per-worker stamp arrays and
-// rat scratch, partial counts merged in worker order as exact integer
-// sums, and every rejection reduced to the smallest violating index —
-// the same verdict, and the same error, the serial body produces.
+// The audit runs on the par worker budget, one worker per
+// verifyParallelGrain vertices (inline below that): scans fan out over
+// contiguous chunks, per-worker partials (hit counts, stamps,
+// multiplicities) merge in worker order as integer sums — which are
+// order-invariant — and a failing block reduces its per-worker faults to
+// the smallest index, so the verdict and the error string are the same
+// at every thread count. Shared marks (covered set, IS-incidence counts)
+// use atomic claims whose final state is scheduling-independent.
 func VerifyKMatchingCSR(ne *SparseEquilibrium) error {
 	e := len(ne.EdgeU)
 	if ne.Attackers < 1 {
@@ -258,210 +248,10 @@ func VerifyKMatchingCSR(ne *SparseEquilibrium) error {
 	if ne.K < 1 || ne.K > e {
 		return fmt.Errorf("%w: k=%d outside 1..%d", ErrNotEquilibrium, ne.K, e)
 	}
-	if workers := par.Split(par.Workers(0), ne.C.NumVertices(), verifyParallelGrain); workers > 1 {
-		if err := verifyKMatchingCSRParallel(ne, workers); err != nil {
-			return err
-		}
-		obsCSRParallelVerifications.Inc()
-	} else if err := verifyKMatchingCSRSerial(ne); err != nil {
-		return err
-	}
-	obsCSRVerifications.Inc()
-	return nil
-}
-
-// verifyKMatchingCSRSerial is the single-threaded audit body — the
-// reference the parallel body must match bit for bit.
-func verifyKMatchingCSRSerial(ne *SparseEquilibrium) error {
 	c := ne.C
 	n := c.NumVertices()
-	e := len(ne.EdgeU)
 	is := ne.VPSupport
-
-	// Support shape: IS ascending, distinct, independent in G.
-	inIS := graph.GetBitset(n)
-	defer graph.PutBitset(inIS)
-	for i, v := range is {
-		if v < 0 || int(v) >= n || (i > 0 && is[i-1] >= v) {
-			return fmt.Errorf("%w: attacker support not ascending/in-range at %d", ErrNotEquilibrium, v)
-		}
-		inIS.Set(v)
-	}
-	for _, v := range is {
-		for _, u := range c.Neighbors(int(v)) {
-			if inIS.Has(u) {
-				return fmt.Errorf("%w: attacker support not independent, edge (%d,%d)", ErrNotEquilibrium, v, u)
-			}
-		}
-	}
-
-	// Edge support: real edges of G, covering every vertex (condition 1),
-	// each touching exactly one IS vertex with D(VP) covering every
-	// support edge, and IS↔edge incidence a bijection (Definition 4.1(2)).
-	incident := par.GetInt32(n)
-	defer par.PutInt32(incident)
-	clear(incident)
-	covered := graph.GetBitset(n)
-	defer graph.PutBitset(covered)
-	for i := 0; i < e; i++ {
-		u, v := ne.EdgeU[i], ne.EdgeV[i]
-		if !c.HasEdge(int(u), int(v)) {
-			return fmt.Errorf("%w: support edge %d=(%d,%d) is not an edge of G", ErrNotEquilibrium, i, u, v)
-		}
-		covered.Set(u)
-		covered.Set(v)
-		touch := 0
-		if inIS.Has(u) {
-			incident[u]++
-			touch++
-		}
-		if inIS.Has(v) {
-			incident[v]++
-			touch++
-		}
-		if touch != 1 {
-			return fmt.Errorf("%w: support edge (%d,%d) touches %d IS vertices, want 1", ErrNotEquilibrium, u, v, touch)
-		}
-	}
-	for v := 0; v < n; v++ {
-		if !covered.Has(int32(v)) {
-			return fmt.Errorf("%w: E(D(tp)) does not cover vertex %d", ErrNotEquilibrium, v)
-		}
-	}
-	for _, v := range is {
-		if incident[v] != 1 {
-			return fmt.Errorf("%w: support vertex %d incident to %d support edges, want 1", ErrNotEquilibrium, v, incident[v])
-		}
-	}
-	if len(is) != e {
-		return fmt.Errorf("%w: |IS|=%d != |E(D(tp))|=%d, incidence is not a bijection", ErrNotEquilibrium, len(is), e)
-	}
-
-	// Tuple table: δ tuples of k distinct in-range edges, every edge in
-	// exactly r = k·δ/e of them (Definition 4.1(3), explicit count).
-	delta := len(ne.Tuples)
-	if delta == 0 || (ne.K*delta)%e != 0 {
-		return fmt.Errorf("%w: %d tuples of %d edges cannot spread %d support edges evenly", ErrNotEquilibrium, delta, ne.K, e)
-	}
-	r := ne.K * delta / e
-	mult := par.GetInt32(e)
-	defer par.PutInt32(mult)
-	clear(mult)
-	seenEdge := par.GetInt32(e)
-	defer par.PutInt32(seenEdge)
-	for i := range seenEdge {
-		seenEdge[i] = -1
-	}
-	for ti, t := range ne.Tuples {
-		if len(t) != ne.K {
-			return fmt.Errorf("%w: tuple %d has %d edges, want k=%d", ErrNotEquilibrium, ti, len(t), ne.K)
-		}
-		for _, id := range t {
-			if id < 0 || int(id) >= e {
-				return fmt.Errorf("%w: tuple %d lists edge %d outside support", ErrNotEquilibrium, ti, id)
-			}
-			if seenEdge[id] == int32(ti) {
-				return fmt.Errorf("%w: tuple %d repeats edge %d", ErrNotEquilibrium, ti, id)
-			}
-			seenEdge[id] = int32(ti)
-			mult[id]++
-		}
-	}
-	for id, m := range mult {
-		if m != int32(r) {
-			return fmt.Errorf("%w: edge %d occurs in %d tuples, others in %d", ErrNotEquilibrium, id, m, r)
-		}
-	}
-
-	// Condition 2(a): hit counts for all n vertices — hitCount[v]·(1/δ) is
-	// P(Hit(v)); support vertices must attain the minimum. Counts are
-	// exact, so the comparison stays in integers over the common
-	// denominator δ.
-	hitCount := par.GetInt32(n)
-	defer par.PutInt32(hitCount)
-	clear(hitCount)
-	stamp := par.GetInt32(n)
-	defer par.PutInt32(stamp)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for ti, t := range ne.Tuples {
-		for _, id := range t {
-			for _, v := range [2]int32{ne.EdgeU[id], ne.EdgeV[id]} {
-				if stamp[v] != int32(ti) {
-					stamp[v] = int32(ti)
-					hitCount[v]++
-				}
-			}
-		}
-	}
-	minHit := hitCount[0]
-	for _, h := range hitCount[1:] {
-		if h < minHit {
-			minHit = h
-		}
-	}
-	for _, v := range is {
-		if hitCount[v] != minHit {
-			return fmt.Errorf("%w: support vertex %d has hit probability %d/%d > min %d/%d",
-				ErrNotEquilibrium, v, hitCount[v], delta, minHit, delta)
-		}
-	}
-
-	// Condition 3(a): each IS vertex carries load ν/|IS| (uniform
-	// attackers on IS), so the loads are supported on an independent set
-	// and the maximum tuple load is the k largest loads: k·ν/|IS|
-	// (MaxTupleLoad case 1; k <= |IS| holds by the bijection). Every
-	// support tuple must attain it — accumulated in the rat domain, where
-	// these small fractions stay on the allocation-free int64 path.
-	var perVertex, want, tupleLoad rat.Rat
-	perVertex.SetFrac64(int64(ne.Attackers), int64(len(is)))
-	want.SetFrac64(int64(ne.K)*int64(ne.Attackers), int64(len(is)))
-	for ti, t := range ne.Tuples {
-		tupleLoad.SetInt64(0)
-		for _, id := range t {
-			for _, v := range [2]int32{ne.EdgeU[id], ne.EdgeV[id]} {
-				if inIS.Has(v) {
-					// Distinct edges touch distinct IS vertices (the
-					// bijection), so no double counting inside a tuple.
-					tupleLoad.Add(&tupleLoad, &perVertex)
-				}
-			}
-		}
-		if tupleLoad.Cmp(&want) != 0 {
-			return fmt.Errorf("%w: tuple %d has load %v < max %v", ErrNotEquilibrium, ti, tupleLoad.Big(), want.Big())
-		}
-	}
-
-	// Condition 3(b): the attacker mass on V(D(tp)) is exactly ν. Every
-	// support edge lies in some tuple (r >= 1), so V(D(tp)) is the set of
-	// support endpoints; summing ν/|IS| over its IS members must give ν.
-	var mass, nu rat.Rat
-	nu.SetInt64(int64(ne.Attackers))
-	for _, v := range is {
-		if hitCount[v] > 0 {
-			mass.Add(&mass, &perVertex)
-		}
-	}
-	if mass.Cmp(&nu) != 0 {
-		return fmt.Errorf("%w: attacker mass on V(D(tp)) is %v, want ν=%v", ErrNotEquilibrium, mass.Big(), nu.Big())
-	}
-	return nil
-}
-
-// verifyKMatchingCSRParallel is the multicore audit body. Every block
-// mirrors the serial reference: scans fan out over contiguous chunks,
-// per-worker partials (hit counts, stamps, multiplicities) merge in
-// worker order as integer sums — which are order-invariant — and a
-// failing block reduces its per-worker faults to the smallest index,
-// reproducing the serial error exactly. Shared marks (covered set,
-// IS-incidence counts) use atomic claims whose final state is
-// scheduling-independent.
-func verifyKMatchingCSRParallel(ne *SparseEquilibrium, workers int) error {
-	c := ne.C
-	n := c.NumVertices()
-	e := len(ne.EdgeU)
-	is := ne.VPSupport
+	workers := par.Split(par.Workers(0), n, verifyParallelGrain)
 	faults := make([]par.Fault, workers)
 	reset := func() {
 		for i := range faults {
@@ -469,9 +259,9 @@ func verifyKMatchingCSRParallel(ne *SparseEquilibrium, workers int) error {
 		}
 	}
 
-	// Support shape: ascending/distinct is a sequential relation — the
-	// serial scan is O(|IS|) and stays — but the independence audit reads
-	// the finished bitset only, so it fans out.
+	// Support shape: ascending/distinct is a sequential relation, so it
+	// stays one O(|IS|) loop, but the independence audit reads the
+	// finished bitset only, so it fans out.
 	inIS := graph.GetBitset(n)
 	defer graph.PutBitset(inIS)
 	for i, v := range is {
@@ -693,9 +483,12 @@ func verifyKMatchingCSRParallel(ne *SparseEquilibrium, workers int) error {
 		return err
 	}
 
-	// Condition 3(a), fanned out over tuples with per-worker rat scratch;
-	// each tuple's load is recomputed exactly as in the serial body, in
-	// the int64-first rat domain.
+	// Condition 3(a): each IS vertex carries load ν/|IS| (uniform
+	// attackers on IS), so the loads are supported on an independent set
+	// and the maximum tuple load is the k largest loads: k·ν/|IS|
+	// (MaxTupleLoad case 1; k <= |IS| holds by the bijection). Every
+	// support tuple must attain it — recomputed per tuple, fanned out
+	// with per-worker scratch, in the int64-first rat domain.
 	var perVertex, want rat.Rat
 	perVertex.SetFrac64(int64(ne.Attackers), int64(len(is)))
 	want.SetFrac64(int64(ne.K)*int64(ne.Attackers), int64(len(is)))
@@ -724,8 +517,8 @@ func verifyKMatchingCSRParallel(ne *SparseEquilibrium, workers int) error {
 	}
 
 	// Condition 3(b): count the hit IS vertices with per-worker integer
-	// partials, then compare count·(ν/|IS|) — the same exact rational the
-	// serial body accumulates term by term — against ν.
+	// partials, then compare count·(ν/|IS|) — the exact rational a
+	// term-by-term sum of ν/|IS| gives — against ν.
 	counts := make([]int64, workers)
 	par.For(workers, len(is), func(w, lo, hi int) {
 		var cnt int64
@@ -746,6 +539,7 @@ func verifyKMatchingCSRParallel(ne *SparseEquilibrium, workers int) error {
 	if mass.Cmp(&nu) != 0 {
 		return fmt.Errorf("%w: attacker mass on V(D(tp)) is %v, want ν=%v", ErrNotEquilibrium, mass.Big(), nu.Big())
 	}
+	obsCSRVerifications.Inc()
 	return nil
 }
 
@@ -780,13 +574,7 @@ func (ne *SparseEquilibrium) ToTupleEquilibrium() (TupleEquilibrium, error) {
 // benchmark row carries a Theorem 3.4 proof, not just a construction.
 // Cost is one solve plus one O(n + m + k·δ) verification.
 func SolveKMatchingCSRVerified(c *graph.CSR, attackers, k int) (*SparseEquilibrium, error) {
-	return SolveKMatchingCSRVerifiedCtx(context.Background(), c, attackers, k)
-}
-
-// SolveKMatchingCSRVerifiedCtx is SolveKMatchingCSRVerified with ctx
-// threaded into the solve for trace correlation.
-func SolveKMatchingCSRVerifiedCtx(ctx context.Context, c *graph.CSR, attackers, k int) (*SparseEquilibrium, error) {
-	ne, err := SolveKMatchingCSRCtx(ctx, c, attackers, k)
+	ne, err := SolveKMatchingCSR(c, attackers, k)
 	if err != nil {
 		return nil, err
 	}

@@ -177,13 +177,6 @@ func FromGraph(g *Graph) *CSR {
 	return c
 }
 
-// csrParallelGrain is the index-range size below which the CSR bulk
-// paths (BuildCSR, Bipartition) stay on their serial code: fan-out for
-// fewer elements costs more in goroutine plumbing than the loop body.
-// Both routes produce bit-identical results — the guard is purely a
-// performance decision, which is what the differential tests pin down.
-const csrParallelGrain = 1 << 15
-
 // BuildCSR assembles a CSR from a raw undirected edge list given as
 // parallel endpoint slices. It rejects out-of-range endpoints, self-loops
 // and duplicate edges (in either orientation) with the package's sentinel
@@ -192,13 +185,9 @@ const csrParallelGrain = 1 << 15
 // This is the bulk-load path the large-graph generators use — no
 // per-edge map insertions, no per-vertex slices.
 //
-// Above csrParallelGrain edges the load runs on the par worker budget:
-// per-worker degree histograms merged in worker order, a sequential
-// prefix sum, then a parallel scatter over atomic row cursors. The
-// per-row sort canonicalizes whatever arrival order the scatter
-// produced, so the result — and, via smallest-index fault reduction,
-// every rejection — is bit-identical to the serial route at any thread
-// count (FuzzBuildCSR pins this against the serial reference).
+// The load is serial at every thread budget: on a 10^6-vertex instance
+// it measured faster than a multicore scatter even at two workers
+// (SCALING.md "Parallel scaling").
 func BuildCSR(n int, us, vs []int32) (*CSR, error) {
 	if n < 0 {
 		n = 0
@@ -210,12 +199,6 @@ func BuildCSR(n int, us, vs []int32) (*CSR, error) {
 	c := &CSR{
 		RowPtr: make([]int32, n+1),
 		Col:    make([]int32, 2*len(us)),
-	}
-	if workers := par.Split(par.Workers(0), len(us), csrParallelGrain); workers > 1 {
-		if err := buildCSRParallel(c, n, us, vs, workers); err != nil {
-			return nil, err
-		}
-		return c, nil
 	}
 	for i := range us {
 		u, v := us[i], vs[i]
@@ -255,87 +238,6 @@ func BuildCSR(n int, us, vs []int32) (*CSR, error) {
 	return c, nil
 }
 
-// buildCSRParallel is BuildCSR's multicore body. Three passes: validate
-// endpoints while counting degrees into per-worker histograms (merged in
-// worker order), a sequential prefix sum, then an atomic-cursor scatter
-// and a parallel per-row sort with the duplicate check. Rejections
-// reduce to the smallest edge (or vertex) index, which is exactly the
-// error the serial loop reports first.
-func buildCSRParallel(c *CSR, n int, us, vs []int32, workers int) error {
-	m := len(us)
-	counts := make([][]int32, workers)
-	faults := make([]par.Fault, workers)
-	par.For(workers, m, func(w, lo, hi int) {
-		deg := par.GetInt32(n)
-		clear(deg)
-		counts[w] = deg
-		for i := lo; i < hi; i++ {
-			u, v := us[i], vs[i]
-			if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
-				faults[w] = par.Fault{At: i, Err: fmt.Errorf("%w: (%d,%d) with n=%d", ErrVertexRange, u, v, n)}
-				return
-			}
-			if u == v {
-				faults[w] = par.Fault{At: i, Err: fmt.Errorf("%w: vertex %d", ErrSelfLoop, u)}
-				return
-			}
-			deg[u]++
-			deg[v]++
-		}
-	})
-	err := par.FirstFault(faults)
-	if err == nil {
-		par.For(par.Split(workers, n, csrParallelGrain), n, func(w, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				var d int32
-				for _, deg := range counts {
-					// For clamps its fan-out to the range length, so with
-					// more workers than edges the tail histograms are nil.
-					if deg != nil {
-						d += deg[v]
-					}
-				}
-				c.RowPtr[v+1] = d
-			}
-		})
-	}
-	for _, deg := range counts {
-		par.PutInt32(deg)
-	}
-	if err != nil {
-		return err
-	}
-	for v := 0; v < n; v++ {
-		c.RowPtr[v+1] += c.RowPtr[v]
-	}
-	cursor := par.GetInt32(n)
-	copy(cursor, c.RowPtr[:n])
-	par.For(workers, m, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u, v := us[i], vs[i]
-			c.Col[atomic.AddInt32(&cursor[u], 1)-1] = v
-			c.Col[atomic.AddInt32(&cursor[v], 1)-1] = u
-		}
-	})
-	par.PutInt32(cursor)
-	for w := range faults {
-		faults[w] = par.Fault{}
-	}
-	par.For(par.Split(workers, n, 1<<12), n, func(w, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			row := c.Col[c.RowPtr[v]:c.RowPtr[v+1]]
-			slices.Sort(row)
-			for i := 1; i < len(row); i++ {
-				if row[i-1] == row[i] {
-					faults[w] = par.Fault{At: v, Err: fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, v, row[i])}
-					return
-				}
-			}
-		}
-	})
-	return par.FirstFault(faults)
-}
-
 // ToGraph expands the CSR back into an adjacency-list Graph, inserting
 // edges in ascending (u, v) order. The round-trip ToGraph(FromGraph(g))
 // preserves g's edge set exactly (property-tested), though not its edge
@@ -354,23 +256,11 @@ func (c *CSR) ToGraph() *Graph {
 // ErrNotBipartite on an odd cycle. This is the routing check of the
 // sparse core: bipartite instances take the guaranteed König route,
 // everything else the heuristic route (see SCALING.md). O(n + m);
-// allocates the side slice; the queue/level scratch is pooled.
-//
-// Above csrParallelGrain vertices the BFS runs level-synchronously on
-// the par worker budget, with components still rooted serially at the
-// lowest unvisited vertex. A vertex's color is its BFS-level parity from
-// that root — invariant under the order vertices are claimed within a
-// level — so the side array is bit-identical to the serial route at any
-// thread count. Only the edge cited by the ErrNotBipartite message may
-// differ between the serial route (first conflict in queue order) and
-// the parallel one (smallest conflict at the first conflicting level);
-// the parallel choice is itself thread-count-invariant.
+// allocates the side slice; the queue scratch is pooled. Serial at every
+// thread budget, like BuildCSR (SCALING.md "Parallel scaling").
 func (c *CSR) Bipartition() ([]int8, error) {
 	obsCSRBipartitions.Inc()
 	n := c.NumVertices()
-	if workers := par.Split(par.Workers(0), n, csrParallelGrain); workers > 1 {
-		return c.bipartitionParallel(workers)
-	}
 	side := make([]int8, n)
 	for i := range side {
 		side[i] = -1
@@ -397,88 +287,6 @@ func (c *CSR) Bipartition() ([]int8, error) {
 			}
 		}
 	}
-	return side, nil
-}
-
-// bipartitionParallel is Bipartition's multicore body: level-synchronous
-// BFS per component with atomic CAS level claims. level[v] is the BFS
-// distance from v's component root — a deterministic quantity — and the
-// returned color is its parity. Frontiers merge in worker order; an odd
-// cycle surfaces as an edge between two same-parity levels, reduced to
-// the lexicographically smallest (v, u) at the first conflicting level
-// so the citation is stable across thread counts.
-func (c *CSR) bipartitionParallel(workers int) ([]int8, error) {
-	n := c.NumVertices()
-	level := par.GetInt32(n)
-	defer par.PutInt32(level)
-	par.For(workers, n, func(w, lo, hi int) {
-		chunk := level[lo:hi]
-		for i := range chunk {
-			chunk[i] = -1
-		}
-	})
-	frontier := par.GetInt32(n)
-	defer par.PutInt32(frontier)
-	nexts := make([][]int32, workers)
-	type conflict struct{ v, u int32 }
-	confs := make([]conflict, workers)
-
-	for s := 0; s < n; s++ {
-		if level[s] != -1 {
-			continue
-		}
-		level[s] = 0
-		frontier[0] = int32(s)
-		frontLen := 1
-		for cur := int32(0); frontLen > 0; cur++ {
-			fw := par.Split(workers, frontLen, 512)
-			for w := 0; w < fw; w++ {
-				nexts[w] = nexts[w][:0]
-				confs[w] = conflict{-1, -1}
-			}
-			par.For(fw, frontLen, func(w, lo, hi int) {
-				next := nexts[w]
-				worst := confs[w]
-				for fi := lo; fi < hi; fi++ {
-					v := frontier[fi]
-					for _, u := range c.Neighbors(int(v)) {
-						if atomic.CompareAndSwapInt32(&level[u], -1, cur+1) {
-							next = append(next, u)
-						} else if lv := atomic.LoadInt32(&level[u]); (lv-cur)&1 == 0 {
-							if worst.v == -1 || v < worst.v || (v == worst.v && u < worst.u) {
-								worst = conflict{v, u}
-							}
-						}
-					}
-				}
-				nexts[w] = next
-				confs[w] = worst
-			})
-			worst := conflict{-1, -1}
-			for w := 0; w < fw; w++ {
-				cw := confs[w]
-				if cw.v == -1 {
-					continue
-				}
-				if worst.v == -1 || cw.v < worst.v || (cw.v == worst.v && cw.u < worst.u) {
-					worst = cw
-				}
-			}
-			if worst.v != -1 {
-				return nil, fmt.Errorf("%w: odd cycle through edge (%d,%d)", ErrNotBipartite, worst.v, worst.u)
-			}
-			frontLen = 0
-			for w := 0; w < fw; w++ {
-				frontLen += copy(frontier[frontLen:], nexts[w])
-			}
-		}
-	}
-	side := make([]int8, n)
-	par.For(workers, n, func(w, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			side[v] = int8(level[v] & 1)
-		}
-	})
 	return side, nil
 }
 
@@ -515,9 +323,9 @@ func (b *Bitset) Has(v int32) bool { return b.words[v>>6]&(1<<uint(v&63)) != 0 }
 // TrySetAtomic inserts v with a compare-and-swap loop, reporting whether
 // this call inserted it — the vertex-ownership claim of the parallel BFS
 // frontiers: exactly one worker wins each vertex, every loser sees a
-// false return. Safe for concurrent use with itself, HasAtomic and
-// SetAtomic; do not mix with the plain methods inside one parallel
-// region. O(1) amortized, does not allocate.
+// false return. Safe for concurrent use with itself and SetAtomic; do
+// not mix with the plain methods inside one parallel region. O(1)
+// amortized, does not allocate.
 func (b *Bitset) TrySetAtomic(v int32) bool {
 	addr := &b.words[v>>6]
 	bit := uint64(1) << uint(v&63)
@@ -547,13 +355,6 @@ func (b *Bitset) SetAtomic(v int32) {
 			return
 		}
 	}
-}
-
-// HasAtomic reports whether v is present, with a synchronized read that
-// may run concurrently with TrySetAtomic/SetAtomic claims. O(1), does
-// not allocate.
-func (b *Bitset) HasAtomic(v int32) bool {
-	return atomic.LoadUint64(&b.words[v>>6])&(1<<uint(v&63)) != 0
 }
 
 // Reset clears the whole set for reuse across phases. O(capacity/64),

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -53,18 +54,19 @@ func FuzzParseGraph6(f *testing.F) {
 	})
 }
 
-// FuzzBuildCSR differentially fuzzes the multicore CSR bulk load against
-// the serial reference: for any edge list — valid or not — the parallel
-// body invoked at several worker counts must reproduce the serial
-// BuildCSR outcome exactly, same RowPtr/Col arrays on acceptance and the
-// same error (message included) on rejection. Endpoints are raw bytes
+// FuzzBuildCSR differentially fuzzes the CSR bulk load against an
+// independent reference: the same edge list inserted one edge at a time
+// through New + AddEdge, then converted with FromGraph. For any edge list
+// — valid or not — the two must agree on accept or reject; an accepted
+// list must give identical RowPtr and Col arrays, and a rejection must
+// carry one of the package's input sentinels. Endpoints are raw bytes
 // against a small n, so out-of-range, self-loop and duplicate faults all
 // occur naturally.
 func FuzzBuildCSR(f *testing.F) {
 	f.Add(6, []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5})
-	f.Add(4, []byte{0, 1, 1, 0})  // duplicate, reversed orientation
-	f.Add(3, []byte{1, 1})        // self-loop
-	f.Add(2, []byte{0, 7})        // out of range
+	f.Add(4, []byte{0, 1, 1, 0})       // duplicate, reversed orientation
+	f.Add(3, []byte{1, 1})             // self-loop
+	f.Add(2, []byte{0, 7})             // out of range
 	f.Add(5, []byte{0, 9, 2, 2, 1, 3}) // range fault before self-loop
 	f.Add(0, []byte{})
 	f.Fuzz(func(t *testing.T, n int, data []byte) {
@@ -72,25 +74,27 @@ func FuzzBuildCSR(f *testing.F) {
 		m := len(data) / 2
 		us := make([]int32, m)
 		vs := make([]int32, m)
+		g := New(n)
+		var refErr error
 		for i := 0; i < m; i++ {
 			us[i] = int32(data[2*i])
 			vs[i] = int32(data[2*i+1])
+			if refErr == nil {
+				refErr = g.AddEdge(int(us[i]), int(vs[i]))
+			}
 		}
-		want, wantErr := BuildCSR(n, us, vs)
-		for _, workers := range []int{2, 3, 5} {
-			got := &CSR{RowPtr: make([]int32, n+1), Col: make([]int32, 2*m)}
-			err := buildCSRParallel(got, n, us, vs, workers)
-			switch {
-			case (err == nil) != (wantErr == nil):
-				t.Fatalf("workers=%d: err = %v, serial err = %v", workers, err, wantErr)
-			case err != nil:
-				if err.Error() != wantErr.Error() {
-					t.Fatalf("workers=%d: err %q, serial err %q", workers, err, wantErr)
-				}
-			default:
-				if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) {
-					t.Fatalf("workers=%d: parallel CSR differs from serial", workers)
-				}
+		got, err := BuildCSR(n, us, vs)
+		switch {
+		case (err == nil) != (refErr == nil):
+			t.Fatalf("BuildCSR err = %v, AddEdge reference err = %v", err, refErr)
+		case err != nil:
+			if !errors.Is(err, ErrVertexRange) && !errors.Is(err, ErrSelfLoop) && !errors.Is(err, ErrDuplicateEdge) {
+				t.Fatalf("BuildCSR rejection %v carries no input sentinel", err)
+			}
+		default:
+			want := FromGraph(g)
+			if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) {
+				t.Fatalf("BuildCSR differs from the AddEdge reference")
 			}
 		}
 	})

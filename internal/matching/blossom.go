@@ -26,7 +26,7 @@ var (
 // matching of a general graph — hence the blossom machinery rather than
 // only Hopcroft–Karp. Allocates the blossom state (several O(n) arrays)
 // and the mate array it returns; for million-vertex bipartite instances
-// use HopcroftKarpCSR instead (see SCALING.md).
+// use MaximumBipartiteCSR instead (see SCALING.md).
 func Maximum(g *graph.Graph) []int {
 	return MaximumCtx(context.Background(), g)
 }

@@ -1,8 +1,6 @@
 package matching
 
 import (
-	"fmt"
-
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/obs"
 	"github.com/defender-game/defender/internal/par"
@@ -14,67 +12,30 @@ import (
 // bound stays empirically checkable at 10^6 vertices.
 var obsCSRHKPhases = obs.Default().Counter("matching.csr.hopcroftkarp.phases")
 
-// hkParallelGrain is the vertex count below which the CSR matching paths
-// stay serial — same reasoning as the graph package's grain guard: the
-// parallel and serial routes are bit-identical, fan-out just does not pay
-// for small instances.
+// hkParallelGrain is the vertex count below which the phase BFS stays
+// inline: the result is bit-identical at any worker count, fan-out just
+// does not pay for small instances.
 const hkParallelGrain = 1 << 15
-
-// HopcroftKarpCSR computes a maximum matching of a bipartite CSR graph in
-// O(m sqrt n) time. The 2-coloring is supplied as side[v] in {0, 1}; use
-// (*graph.CSR).Bipartition to obtain one. It returns the mate array
-// (mate[v] = partner of v, or Unmatched), validating first that side is a
-// proper 2-coloring so callers cannot silently run it on an odd cycle.
-// The validation scan runs on the par worker budget with rejections
-// reduced to the smallest vertex index — the error the serial scan
-// reports first.
-//
-// This is the scale path: a greedy warm start, BFS layering with bitset
-// frontiers reset in O(n/64) words per phase, and an iterative DFS with a
-// per-vertex edge cursor so each phase touches every arc at most once —
-// no recursion, no per-phase reallocation. All O(n) scratch is pooled;
-// only the returned mate array is allocated.
-func HopcroftKarpCSR(c *graph.CSR, side []int8) ([]int32, error) {
-	n := c.NumVertices()
-	if len(side) != n {
-		return nil, fmt.Errorf("matching: side array length %d, want %d", len(side), n)
-	}
-	workers := par.Split(par.Workers(0), n, hkParallelGrain)
-	faults := make([]par.Fault, workers)
-	par.For(workers, n, func(w, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if side[v] != 0 && side[v] != 1 {
-				faults[w] = par.Fault{At: v, Err: fmt.Errorf("matching: side[%d]=%d, want 0 or 1", v, side[v])}
-				return
-			}
-			for _, u := range c.Neighbors(v) {
-				if side[u] == side[v] {
-					faults[w] = par.Fault{At: v, Err: fmt.Errorf("%w: edge (%d,%d) has both endpoints on side %d", graph.ErrNotBipartite, v, u, side[v])}
-					return
-				}
-			}
-		}
-	})
-	if err := par.FirstFault(faults); err != nil {
-		return nil, err
-	}
-	return hopcroftKarpCSR(c, side), nil
-}
 
 // HopcroftKarpCSRSubgraph computes a maximum matching of the bipartite
 // subgraph of c induced by the cross edges between side-0 and side-1
-// vertices. Unlike HopcroftKarpCSR it does not validate: side[v] may be -1
-// (vertex excluded) and same-side edges are skipped rather than rejected.
-// This is how the sparse partition search matches VC vertices to distinct
-// IS representatives (Corollary 4.11's SDR) without materializing the
-// auxiliary bipartite graph. Same complexity and allocation profile as
-// HopcroftKarpCSR; excluded vertices stay Unmatched.
+// vertices. It does not validate side: side[v] may be -1 (vertex
+// excluded) and same-side edges are skipped rather than rejected. This
+// is how the sparse partition search matches VC vertices to distinct IS
+// representatives (Corollary 4.11's SDR) without materializing the
+// auxiliary bipartite graph. O(m sqrt n); excluded vertices stay
+// Unmatched.
 func HopcroftKarpCSRSubgraph(c *graph.CSR, side []int8) []int32 {
 	return hopcroftKarpCSR(c, side)
 }
 
 // hopcroftKarpCSR is the engine behind both entry points: left = side 0,
 // right = side 1, every other vertex and every non-cross edge ignored.
+// It is the scale path: a greedy warm start, BFS layering with bitset
+// frontiers reset in O(n/64) words per phase, and an iterative DFS with a
+// per-vertex edge cursor so each phase touches every arc at most once —
+// no recursion, no per-phase reallocation. All O(n) scratch is pooled;
+// only the returned mate array is allocated.
 //
 // The phase BFS is the multicore leg: above hkParallelGrain vertices it
 // expands each layer level-synchronously on the par worker budget, with

@@ -88,19 +88,14 @@ func TestHopcroftKarpCSRMatchesDense(t *testing.T) {
 	}
 }
 
+// TestHopcroftKarpCSRValidation checks the bipartite entry point rejects
+// an odd cycle with graph.ErrNotBipartite and matches an even path
+// perfectly.
 func TestHopcroftKarpCSRValidation(t *testing.T) {
-	c := graph.FromGraph(graph.Cycle(5))
-	if _, err := HopcroftKarpCSR(c, []int8{0, 1, 0, 1, 0}); !errors.Is(err, graph.ErrNotBipartite) {
+	if _, _, err := MaximumBipartiteCSR(graph.FromGraph(graph.Cycle(5))); !errors.Is(err, graph.ErrNotBipartite) {
 		t.Errorf("odd cycle accepted: %v", err)
 	}
-	p := graph.FromGraph(graph.Path(4))
-	if _, err := HopcroftKarpCSR(p, []int8{0, 1}); err == nil {
-		t.Error("short side array accepted")
-	}
-	if _, err := HopcroftKarpCSR(p, []int8{0, 1, 2, 1}); err == nil {
-		t.Error("side value 2 accepted")
-	}
-	mate, err := HopcroftKarpCSR(p, []int8{0, 1, 0, 1})
+	mate, _, err := MaximumBipartiteCSR(graph.FromGraph(graph.Path(4)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,8 @@
 // The budget is a goroutine count, not a core count: it is deliberately
 // not clamped to GOMAXPROCS so scaling ladders can record honest
 // oversubscribed rungs (workers_effective = requested, gomaxprocs = what
-// the box had). Callers that must never oversubscribe — defenderd's
-// broker, which multiplies the budget by its pool size — apply their own
-// clamp before calling SetThreads (see internal/server).
+// the box had). Only the benchmark harnesses (cmd/benchkernel,
+// perfbench) set it; defenderd's dense solve path never reads it.
 package par
 
 import (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/obs"
 	obslog "github.com/defender-game/defender/internal/obs/log"
-	"github.com/defender-game/defender/internal/par"
 	"github.com/defender-game/defender/internal/server/broker"
 )
 
@@ -40,26 +38,12 @@ var (
 	latencyBurn       = obs.Default().Gauge("server.slo.latency_burn")
 )
 
-// solverThreadsGauge publishes the per-solve thread budget the server
-// settled on after the oversubscription clamp (catalogued in
-// OBSERVABILITY.md) — compare against the -solver-threads request to see
-// whether the clamp engaged.
-var solverThreadsGauge = obs.Default().Gauge("server.solver.threads")
-
 // Config tunes a Server. The zero value is usable: every field has a
 // production default.
 type Config struct {
 	// Workers is the broker pool size (default 4): the maximum number of
 	// concurrent solves.
 	Workers int
-	// SolverThreads is the par thread budget each solve may fan out to
-	// (default 1). Unlike the bench harness — which deliberately allows
-	// oversubscribed rungs — the service clamps the product
-	// Workers × SolverThreads to GOMAXPROCS: Workers concurrent solves
-	// each fanning out SolverThreads goroutines on an oversubscribed box
-	// would just trade latency for scheduler churn. The clamped value is
-	// published as server.solver.threads.
-	SolverThreads int
 	// QueueCap bounds the broker queue (default 64); a full queue sheds
 	// load as 429 + Retry-After.
 	QueueCap int
@@ -101,12 +85,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 4
-	}
-	if c.SolverThreads == 0 {
-		c.SolverThreads = 1
-	}
-	if lid := max(1, runtime.GOMAXPROCS(0)/c.Workers); c.SolverThreads > lid {
-		c.SolverThreads = lid
 	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 64
@@ -162,14 +140,9 @@ type Server struct {
 	solveFn func(ctx context.Context, g *graph.Graph, g6 string, k, attackers int) (*SolveResult, error)
 }
 
-// New builds a Server from cfg (zero fields defaulted). The clamped
-// SolverThreads becomes the process-wide par budget — defenderd runs one
-// Server per process, so the solve stack under every broker worker
-// inherits it.
+// New builds a Server from cfg (zero fields defaulted).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	par.SetThreads(cfg.SolverThreads)
-	solverThreadsGauge.Set(float64(cfg.SolverThreads))
 	s := &Server{
 		cfg:     cfg,
 		broker:  broker.New(cfg.Workers, cfg.QueueCap),
@@ -196,10 +169,6 @@ func New(cfg Config) *Server {
 // pprof, /slo) live on the separate mux of obs.NewDebugMux, bound
 // privately by cmd/defenderd.
 func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serveTraced) }
-
-// SolverThreads reports the per-solve thread budget after the
-// oversubscription clamp — what -solver-threads actually bought.
-func (s *Server) SolverThreads() int { return s.cfg.SolverThreads }
 
 // statusWriter captures the response status for the request log and the
 // SLO monitor. WriteHeader-less handlers imply 200, matching net/http.

@@ -15,7 +15,6 @@ import (
 
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/obs"
-	"github.com/defender-game/defender/internal/par"
 )
 
 // TestMain enables the default registry: the accounting tests read the
@@ -88,27 +87,6 @@ func counterDelta(names []string, fn func()) map[string]uint64 {
 		d[n] = obs.Default().Counter(n).Value() - before[n]
 	}
 	return d
-}
-
-// TestSolverThreadsClamp pins the oversubscription policy: the per-solve
-// thread budget times the broker pool never exceeds GOMAXPROCS, and the
-// default is a single-threaded solve.
-func TestSolverThreadsClamp(t *testing.T) {
-	defer par.SetThreads(0)
-	s := newTestServer(t, func(c *Config) { c.Workers = 2; c.SolverThreads = 1024 })
-	want := runtime.GOMAXPROCS(0) / 2
-	if want < 1 {
-		want = 1
-	}
-	if got := s.SolverThreads(); got != want {
-		t.Errorf("SolverThreads() = %d, want clamp to %d", got, want)
-	}
-	if got := par.Threads(); got != want {
-		t.Errorf("par.Threads() = %d after New, want %d", got, want)
-	}
-	if got := newTestServer(t).SolverThreads(); got != 1 {
-		t.Errorf("default SolverThreads() = %d, want 1", got)
-	}
 }
 
 func TestSolveCycleKMatching(t *testing.T) {
