@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/obs"
 	"github.com/defender-game/defender/internal/par"
 	"github.com/defender-game/defender/internal/rat"
 )
@@ -45,20 +46,46 @@ func equalEquilibria(t *testing.T, label string, a, b *SparseEquilibrium) {
 	}
 }
 
+// freshCSR rebuilds c's graph as a new CSR through BuildCSR, so nothing
+// memoized on c (its coloring and maximum matching) carries over.
+func freshCSR(t *testing.T, c *graph.CSR) *graph.CSR {
+	t.Helper()
+	var us, vs []int32
+	c.EachEdge(func(u, v int32) { us, vs = append(us, u), append(vs, v) })
+	fresh, err := graph.BuildCSR(c.NumVertices(), us, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
 // TestSolveKMatchingCSRThreadsIdentity is the determinism contract of the
 // whole parallel pipeline: the equilibrium solved under thread budgets 1,
 // 2 and 8 is bit-identical — same supports, same edge labeling, same
 // tuple table — on the golden corpus and on an instance large enough for
 // every parallel body to actually engage. Budget 8 on this box is
 // oversubscribed on purpose: correctness must not depend on GOMAXPROCS.
+//
+// Each budget solves a fresh CSR of the instance, so it colors and
+// matches the graph itself instead of reading the previous budget's memo:
+// the coloring counter moves by one per budget, and the phase counter by
+// the same, non-zero count on the large instance.
 func TestSolveKMatchingCSRThreadsIdentity(t *testing.T) {
+	reg := obs.Default()
+	defer reg.SetEnabled(reg.Enabled())
+	reg.SetEnabled(true)
+	colorings := reg.Counter("graph.csr.bipartitions")
+	phases := reg.Counter("matching.csr.hopcroftkarp.phases")
 	defer par.SetThreads(0)
 	instances := sparseCorpus()
 	instances["baBip140k"] = bigSparseInstance()
-	for name, c := range instances {
+	for name, instance := range instances {
 		var base *SparseEquilibrium
+		var basePhases uint64
 		for _, threads := range []int{1, 2, 8} {
 			par.SetThreads(threads)
+			c := freshCSR(t, instance)
+			colored, ran := colorings.Value(), phases.Value()
 			ne, err := SolveKMatchingCSR(c, 5, 2)
 			if errors.Is(err, ErrKTooLarge) {
 				break
@@ -66,12 +93,22 @@ func TestSolveKMatchingCSRThreadsIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s threads=%d: %v", name, threads, err)
 			}
+			if d := colorings.Value() - colored; d != 1 {
+				t.Fatalf("%s threads=%d: %d colorings, want 1 (a fresh CSR)", name, threads, d)
+			}
+			ran = phases.Value() - ran
 			if err := VerifyKMatchingCSR(ne); err != nil {
 				t.Fatalf("%s threads=%d: audit: %v", name, threads, err)
 			}
 			if base == nil {
-				base = ne
+				base, basePhases = ne, ran
+				if name == "baBip140k" && ran == 0 {
+					t.Fatalf("%s: no Hopcroft–Karp phase ran, so the parallel BFS went untested", name)
+				}
 				continue
+			}
+			if ran != basePhases {
+				t.Errorf("%s threads=%d: %d phases, threads=1 ran %d", name, threads, ran, basePhases)
 			}
 			equalEquilibria(t, name, base, ne)
 		}

@@ -289,7 +289,6 @@ func VerifyKMatchingCSR(ne *SparseEquilibrium) error {
 	// are per-edge; the covered set and IS-incidence counters are shared
 	// marks under atomic claim/add.
 	incident := par.GetInt32(n)
-	defer par.PutInt32(incident)
 	clear(incident)
 	covered := graph.GetBitset(n)
 	defer graph.PutBitset(covered)
@@ -348,6 +347,10 @@ func VerifyKMatchingCSR(ne *SparseEquilibrium) error {
 	if len(is) != e {
 		return fmt.Errorf("%w: |IS|=%d != |E(D(tp))|=%d, incidence is not a bijection", ErrNotEquilibrium, len(is), e)
 	}
+	// Back to the pool as soon as it is dead, not at return: the tuple
+	// and hit-count scratch below can then reuse it, and the audit's peak
+	// live heap — a 10^6-vertex solve's peak — stays one n-array lower.
+	par.PutInt32(incident)
 
 	// Tuple table, fanned out over tuples: each tuple is audited whole by
 	// one worker against its own seen-stamp array, and the per-worker

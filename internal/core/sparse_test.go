@@ -6,6 +6,8 @@ import (
 
 	"github.com/defender-game/defender/internal/cover"
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/matching"
+	"github.com/defender-game/defender/internal/obs"
 )
 
 // sparseCorpus returns small instances the sparse pipeline is
@@ -140,5 +142,41 @@ func TestSolveKMatchingCSRMediumScale(t *testing.T) {
 	}
 	if ne.Multiplicity() < 1 {
 		t.Fatalf("multiplicity %d < 1", ne.Multiplicity())
+	}
+}
+
+// TestSolveKMatchingCSRAfterRho pins the one-matching solve: once ρ(G)'s
+// matching is in hand (matching.MaximumBipartiteCSR, as every scaling
+// pass computes it first), the solve on the same CSR colors nothing and
+// runs no Hopcroft–Karp phase, and its attacker support still has
+// n − ν(G) = ρ(G) vertices.
+func TestSolveKMatchingCSRAfterRho(t *testing.T) {
+	reg := obs.Default()
+	defer reg.SetEnabled(reg.Enabled())
+	reg.SetEnabled(true)
+	colorings := reg.Counter("graph.csr.bipartitions")
+	phases := reg.Counter("matching.csr.hopcroftkarp.phases")
+	c := graph.NewSeededGenerator(43).BarabasiAlbertBipartiteCSR(50_000, 3)
+	ran := phases.Value()
+	mate, _, err := matching.MaximumBipartiteCSR(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if phases.Value() == ran {
+		t.Fatal("ρ(G)'s matching ran no phase, so the phase count proves nothing")
+	}
+	colored, ran := colorings.Value(), phases.Value()
+	ne, err := SolveKMatchingCSRVerified(c, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := colorings.Value() - colored; d != 0 {
+		t.Errorf("solve colored the graph %d more times, want 0", d)
+	}
+	if d := phases.Value() - ran; d != 0 {
+		t.Errorf("solve ran %d more Hopcroft–Karp phases, want 0", d)
+	}
+	if rho := c.NumVertices() - matching.SizeCSR(mate); len(ne.VPSupport) != rho {
+		t.Errorf("|IS| = %d, want ρ(G) = %d", len(ne.VPSupport), rho)
 	}
 }

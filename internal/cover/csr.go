@@ -111,36 +111,6 @@ func MinimumEdgeCoverCSRFromMatching(c *graph.CSR, mate []int32) (us, vs []int32
 	return us, vs, nil
 }
 
-// FindNEPartitionBipartiteCSR computes a partition for a bipartite CSR
-// graph on the guaranteed König route: VC is a König minimum vertex cover
-// derived from a CSR Hopcroft–Karp matching, IS its complement, and the
-// representatives are simply the matching mates — every König cover
-// vertex is matched, its mate lies in IS (each matching edge has exactly
-// one cover endpoint), and mates are distinct. Returns
-// graph.ErrNotBipartite on an odd cycle and ErrIsolatedVertex when the
-// game is ill-defined. O(m sqrt n); allocates the partition and the
-// matching scratch.
-func FindNEPartitionBipartiteCSR(c *graph.CSR) (PartitionCSR, error) {
-	if c.HasIsolatedVertex() {
-		return PartitionCSR{}, ErrIsolatedVertex
-	}
-	side, err := c.Bipartition()
-	if err != nil {
-		return PartitionCSR{}, err
-	}
-	return findNEPartitionBipartiteSide(c, side)
-}
-
-// findNEPartitionBipartiteSide is the König route with the 2-coloring
-// already in hand — the entry FindNEPartitionCSR uses so the routing
-// bipartition doubles as the matching's coloring instead of being
-// recomputed. side must be a proper 2-coloring of c.
-func findNEPartitionBipartiteSide(c *graph.CSR, side []int8) (PartitionCSR, error) {
-	mate := matching.HopcroftKarpCSRSubgraph(c, side)
-	vc := matching.KonigVertexCoverCSR(c, side, mate)
-	return partitionFromRepMatching(c, vc, mate)
-}
-
 // FindNEPartitionGreedyCSR tries deterministic greedy maximal independent
 // sets (natural and ascending-degree vertex orders) and keeps the first
 // complement that admits a system of distinct representatives, decided by
@@ -189,20 +159,29 @@ func FindNEPartitionGreedyCSR(c *graph.CSR) (PartitionCSR, error) {
 }
 
 // FindNEPartitionCSR is the combined sparse search the large-instance
-// solvers use, routed by the bipartiteness check: bipartite graphs take
-// the König route (polynomial, always succeeds), everything else the
-// greedy-plus-SDR heuristic (which cannot prove non-existence — exact
-// refutation stays on the dense path, FindNEPartitionExact). The routing
-// BFS is the König route's 2-coloring, so bipartite instances pay for
-// exactly one bipartition. O(m sqrt n) on the bipartite route.
+// solvers use, routed by the bipartiteness check. Bipartite graphs take
+// the guaranteed König route (polynomial, always succeeds): VC is the
+// König minimum vertex cover of c's maximum matching, IS its complement,
+// and the representatives are the matching mates — every König cover
+// vertex is matched, its mate lies in IS (each matching edge has exactly
+// one cover endpoint), and mates are distinct. The coloring and the
+// matching are the ones memoized on c (matching.MaximumBipartiteCSR), so
+// a solve that already computed ρ(G) pays for neither again. Everything
+// else takes the greedy-plus-SDR heuristic, which cannot prove
+// non-existence — exact refutation stays on the dense path,
+// FindNEPartitionExact. Returns ErrIsolatedVertex when the game is
+// ill-defined. O(m sqrt n) on the bipartite route, O(n + m) once the
+// matching is memoized.
 func FindNEPartitionCSR(c *graph.CSR) (PartitionCSR, error) {
 	if c.HasIsolatedVertex() {
 		return PartitionCSR{}, ErrIsolatedVertex
 	}
-	if side, err := c.Bipartition(); err == nil {
-		return findNEPartitionBipartiteSide(c, side)
+	mate, side, err := matching.MaximumBipartiteCSR(c)
+	if err != nil {
+		return FindNEPartitionGreedyCSR(c)
 	}
-	return FindNEPartitionGreedyCSR(c)
+	vc := matching.KonigVertexCoverCSR(c, side, mate)
+	return partitionFromRepMatching(c, vc, mate)
 }
 
 // GreedyIndependentSetCSR returns a maximal independent set built by
@@ -231,30 +210,29 @@ func GreedyIndependentSetCSR(c *graph.CSR, order []int32) []int32 {
 // partitionFromRepMatching assembles a PartitionCSR from a vertex cover
 // and a matching that saturates it with IS-side mates, validating the
 // result (the König invariants are structural, but a corrupted matching
-// must not produce a silently wrong partition).
+// must not produce a silently wrong partition). It takes ownership of
+// mate, which becomes the partition's Rep: the cover's entries are kept
+// and every other entry is cleared, so the partition costs no second
+// n-vertex array.
 func partitionFromRepMatching(c *graph.CSR, vc []int32, mate []int32) (PartitionCSR, error) {
 	n := c.NumVertices()
-	rep := make([]int32, n)
-	for i := range rep {
-		rep[i] = matching.Unmatched
-	}
 	inVC := graph.GetBitset(n)
 	defer graph.PutBitset(inVC)
 	for _, v := range vc {
 		inVC.Set(v)
 	}
+	for _, v := range vc {
+		if r := mate[v]; r == matching.Unmatched || inVC.Has(r) {
+			return PartitionCSR{}, fmt.Errorf("%w: cover vertex %d has no IS mate", ErrPartitionNotFound, v)
+		}
+	}
+	rep := mate
 	is := make([]int32, 0, n-len(vc))
 	for v := 0; v < n; v++ {
 		if !inVC.Has(int32(v)) {
 			is = append(is, int32(v))
+			rep[v] = matching.Unmatched
 		}
-	}
-	for _, v := range vc {
-		r := mate[v]
-		if r == matching.Unmatched || inVC.Has(r) {
-			return PartitionCSR{}, fmt.Errorf("%w: cover vertex %d has no IS mate", ErrPartitionNotFound, v)
-		}
-		rep[v] = r
 	}
 	p := PartitionCSR{IS: is, VC: vc, Rep: rep}
 	if err := p.Validate(c); err != nil {

@@ -18,7 +18,9 @@ func chordedC4() *graph.CSR {
 	return graph.FromGraph(g)
 }
 
-func TestFindNEPartitionBipartiteCSRMatchesDense(t *testing.T) {
+// TestFindNEPartitionCSRBipartiteMatchesDense checks the bipartite
+// (König) route of FindNEPartitionCSR against the dense König route.
+func TestFindNEPartitionCSRBipartiteMatchesDense(t *testing.T) {
 	gen := graph.NewSeededGenerator(23)
 	cases := map[string]*graph.Graph{
 		"path7": graph.Path(7),
@@ -30,7 +32,7 @@ func TestFindNEPartitionBipartiteCSRMatchesDense(t *testing.T) {
 	}
 	for name, g := range cases {
 		c := graph.FromGraph(g)
-		p, err := FindNEPartitionBipartiteCSR(c)
+		p, err := FindNEPartitionCSR(c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -152,7 +154,7 @@ func TestGreedyIndependentSetCSRIsMaximalIndependent(t *testing.T) {
 
 func TestPartitionCSRValidateRejectsCorruption(t *testing.T) {
 	c := graph.FromGraph(graph.CompleteBipartite(2, 2))
-	p, err := FindNEPartitionBipartiteCSR(c)
+	p, err := FindNEPartitionCSR(c)
 	if err != nil {
 		t.Fatal(err)
 	}

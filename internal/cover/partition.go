@@ -43,7 +43,8 @@ func (p Partition) Validate(g *graph.Graph) error {
 // Theorem 5.1 builds on this route. The graph must have no isolated
 // vertices (isolated vertices are in every maximum independent set but make
 // the game itself ill-defined). O(m sqrt n + |VC| · m); allocates the
-// partition and matching scratch. Sparse: FindNEPartitionBipartiteCSR.
+// partition and matching scratch. Sparse: the bipartite route of
+// FindNEPartitionCSR.
 func FindNEPartitionBipartite(g *graph.Graph) (Partition, error) {
 	vc, err := MinimumVertexCoverBipartite(g)
 	if err != nil {

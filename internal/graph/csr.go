@@ -18,8 +18,10 @@ import (
 var obsCSRBuilds = obs.Default().Counter("graph.csr.builds")
 
 // CSR bipartition counter (catalogued in OBSERVABILITY.md): one increment
-// per BFS 2-coloring attempt on a CSR graph — the routing decision every
-// sparse solve starts with (see SCALING.md "Routing").
+// per BFS 2-coloring computed on a CSR graph — the routing decision every
+// sparse solve starts with (see SCALING.md "Routing"). The coloring is
+// memoized, so this counts colorings, not Bipartition calls: at most one
+// per CSR.
 var obsCSRBipartitions = obs.Default().Counter("graph.csr.bipartitions")
 
 // CSR is a compressed-sparse-row representation of a simple undirected
@@ -35,11 +37,33 @@ var obsCSRBipartitions = obs.Default().Counter("graph.csr.bipartitions")
 // concurrent use. Int32 indices cap instances at 2^31-1 vertices and
 // directed arcs — two orders of magnitude above the 10^6-vertex target —
 // and halve the memory footprint against int64 indexing.
+//
+// Because the rows never change, a CSR also carries the bipartite
+// structure derived from them, computed at most once: its 2-coloring and
+// the maximum matching across it (5 bytes per vertex for the CSR's
+// lifetime). Every entry point hands out copies. The memo holds sync
+// state, so a CSR is shared by pointer and never copied by value.
 type CSR struct {
 	// RowPtr has length n+1; RowPtr[0] = 0 and RowPtr[n] = len(Col).
 	RowPtr []int32
 	// Col holds the concatenated adjacency rows, each sorted ascending.
 	Col []int32
+
+	bip bipartiteMemo
+}
+
+// bipartiteMemo is a CSR's derived bipartite structure. Each slot is
+// filled once under its sync.Once and read-only afterwards; colored is
+// set only after the coloring slot is filled, so IsMemoizedBipartition
+// can look without computing or blocking.
+type bipartiteMemo struct {
+	colorOnce sync.Once
+	colored   atomic.Bool
+	side      []int8
+	err       error
+
+	matchOnce sync.Once
+	mate      []int32
 }
 
 // NumVertices returns the number of vertices n. O(1), does not allocate.
@@ -255,10 +279,65 @@ func (c *CSR) ToGraph() *Graph {
 // edge crossing sides, isolated vertices on side 0. It returns
 // ErrNotBipartite on an odd cycle. This is the routing check of the
 // sparse core: bipartite instances take the guaranteed König route,
-// everything else the heuristic route (see SCALING.md). O(n + m);
-// allocates the side slice; the queue scratch is pooled. Serial at every
-// thread budget, like BuildCSR (SCALING.md "Parallel scaling").
+// everything else the heuristic route (see SCALING.md). The coloring (or
+// the error) is computed on the first call and memoized; every call
+// returns its own copy of side, so mutating it cannot reach the memo.
+// O(n + m) once, then O(n) per call for the copy. Serial at every thread
+// budget, like BuildCSR (SCALING.md "Parallel scaling").
 func (c *CSR) Bipartition() ([]int8, error) {
+	side, err := c.bipartition()
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(side), nil
+}
+
+// IsBipartite reports whether the CSR graph has no odd cycle.
+// O(n + m) on the first coloring, O(1) after; copies nothing.
+func (c *CSR) IsBipartite() bool {
+	_, err := c.bipartition()
+	return err == nil
+}
+
+// IsMemoizedBipartition reports whether c's 2-coloring is already
+// memoized and side equals it byte for byte. It never computes the
+// coloring and never blocks on one being computed. O(n), does not
+// allocate.
+func (c *CSR) IsMemoizedBipartition(side []int8) bool {
+	return c.bip.colored.Load() && c.bip.err == nil && slices.Equal(side, c.bip.side)
+}
+
+// CrossMatching returns copies of c's memoized maximum cross matching and
+// of the 2-coloring it was computed on, or ErrNotBipartite. The first
+// call on a bipartite c fills the slot with match(c, side); concurrent
+// first callers wait for that one run. It is the hook through which the
+// matching package, which graph cannot import, memoizes its
+// Hopcroft–Karp engine: match must be a deterministic function of
+// (c, side), and must not retain side. Other callers want
+// matching.MaximumBipartiteCSR. O(n) per call for the copies after the
+// first.
+func (c *CSR) CrossMatching(match func(c *CSR, side []int8) []int32) (mate []int32, side []int8, err error) {
+	side, err = c.bipartition()
+	if err != nil {
+		return nil, nil, err
+	}
+	c.bip.matchOnce.Do(func() { c.bip.mate = match(c, side) })
+	return slices.Clone(c.bip.mate), slices.Clone(side), nil
+}
+
+// bipartition returns the memoized coloring itself, filling it on first
+// use; callers must not modify side.
+func (c *CSR) bipartition() (side []int8, err error) {
+	c.bip.colorOnce.Do(func() {
+		c.bip.side, c.bip.err = c.color()
+		c.bip.colored.Store(true)
+	})
+	return c.bip.side, c.bip.err
+}
+
+// color is the BFS 2-coloring behind Bipartition. O(n + m); allocates the
+// side slice; the queue scratch is pooled.
+func (c *CSR) color() ([]int8, error) {
 	obsCSRBipartitions.Inc()
 	n := c.NumVertices()
 	side := make([]int8, n)
@@ -288,13 +367,6 @@ func (c *CSR) Bipartition() ([]int8, error) {
 		}
 	}
 	return side, nil
-}
-
-// IsBipartite reports whether the CSR graph has no odd cycle.
-// O(n + m); allocates Bipartition's scratch.
-func (c *CSR) IsBipartite() bool {
-	_, err := c.Bipartition()
-	return err == nil
 }
 
 // Bitset is a fixed-capacity set of small non-negative integers backed by

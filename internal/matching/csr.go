@@ -25,7 +25,19 @@ const hkParallelGrain = 1 << 15
 // representatives (Corollary 4.11's SDR) without materializing the
 // auxiliary bipartite graph. O(m sqrt n); excluded vertices stay
 // Unmatched.
+//
+// When c's 2-coloring is already memoized and side equals it, the call is
+// MaximumBipartiteCSR's: it returns (a copy of) the matching memoized on
+// c, running the engine only if no call has yet. The check costs an O(n)
+// compare and never computes a coloring; any other side is matched
+// fresh and leaves the memo alone. Either way the mates are the engine's
+// deterministic output on (c, side), and the caller owns them.
 func HopcroftKarpCSRSubgraph(c *graph.CSR, side []int8) []int32 {
+	if c.IsMemoizedBipartition(side) {
+		if mate, _, err := c.CrossMatching(hopcroftKarpCSR); err == nil {
+			return mate
+		}
+	}
 	return hopcroftKarpCSR(c, side)
 }
 
@@ -66,13 +78,11 @@ func hopcroftKarpCSR(c *graph.CSR, side []int8) []int32 {
 	ptr := par.GetInt32(n)
 	frontier := par.GetInt32(n)
 	stack := par.GetInt32(n)[:0]
-	chosen := par.GetInt32(n)
 	defer func() {
 		par.PutInt32(dist)
 		par.PutInt32(ptr)
 		par.PutInt32(frontier)
 		par.PutInt32(stack)
-		par.PutInt32(chosen)
 	}()
 	// The phases have not started, so two of their arrays double as the
 	// warm start's degree and queue scratch: it allocates nothing.
@@ -158,8 +168,9 @@ func hopcroftKarpCSR(c *graph.CSR, side []int8) []int32 {
 	// dfs searches for an augmenting path from root along the BFS layers,
 	// iteratively: the stack holds the left vertices of the current
 	// alternating path, ptr[v] the next arc to try (persisting across
-	// roots, so a phase scans each arc once), chosen[v] the right vertex v
-	// will pair with if the path augments.
+	// roots, so a phase scans each arc once). A stacked vertex's cursor
+	// stays frozen while its child is above it, so Col[ptr[x]-1] is the
+	// right vertex x pairs with if the path augments.
 	dfs := func(root int32) bool {
 		stack = append(stack[:0], root)
 		for len(stack) > 0 {
@@ -173,15 +184,13 @@ func hopcroftKarpCSR(c *graph.CSR, side []int8) []int32 {
 				}
 				w := mate[u]
 				if w == Unmatched {
-					chosen[v] = u
 					for _, x := range stack {
-						y := chosen[x]
+						y := c.Col[ptr[x]-1]
 						mate[x], mate[y] = y, x
 					}
 					return true
 				}
 				if visited.Has(w) && dist[w] == dist[v]+1 {
-					chosen[v] = u
 					stack = append(stack, w)
 					advanced = true
 					break
@@ -289,14 +298,12 @@ func karpSipser(c *graph.CSR, side []int8, left, mate, deg, queue []int32) {
 // MaximumBipartiteCSR computes a maximum matching of a CSR graph, deriving
 // the bipartition itself and returning it alongside the mate array (König
 // conversion needs both). Returns graph.ErrNotBipartite on an odd cycle.
-// O(m sqrt n); allocates the side and mate arrays plus the engine scratch.
+// Both are memoized on c (graph.CSR.CrossMatching): the first call
+// colors and matches, O(m sqrt n); every later call, and every
+// HopcroftKarpCSRSubgraph call on the memoized coloring, copies them out
+// in O(n). The caller owns the returned slices.
 func MaximumBipartiteCSR(c *graph.CSR) ([]int32, []int8, error) {
-	side, err := c.Bipartition()
-	if err != nil {
-		return nil, nil, err
-	}
-	mate := hopcroftKarpCSR(c, side)
-	return mate, side, nil
+	return c.CrossMatching(hopcroftKarpCSR)
 }
 
 // SizeCSR returns the number of edges in the matching encoded by an int32
