@@ -9,7 +9,7 @@ FUZZTIME ?= 30s
 # from here.
 SMOKEDIR ?= _smoke
 
-.PHONY: all build test lint vet race bench bench-kernel bench-scaling benchdiff fuzz-smoke linkcheck loadtest trace-smoke check
+.PHONY: all build test fmtcheck lint vet race bench bench-kernel bench-scaling benchdiff fuzz-smoke linkcheck loadtest trace-smoke check
 
 # DOCS is the documentation set linkcheck keeps honest (relative links and
 # heading anchors; see cmd/linkcheck).
@@ -25,6 +25,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmtcheck fails when any tracked Go file (perfbench included) is not
+# gofmt-clean, listing the offenders.
+fmtcheck:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint = go vet + the project's own invariant analyzers (see
 # internal/analyzers and DESIGN.md "Static analysis & invariants"). Test
@@ -82,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseGraph6$$' -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzBuildCSR$$' -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzHopcroftKarpCSRSubgraph$$' -fuzztime=$(FUZZTIME) ./internal/matching
+	$(GO) test -run='^$$' -fuzz='^FuzzFindNEPartition$$' -fuzztime=$(FUZZTIME) ./internal/cover
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeProfile$$' -fuzztime=$(FUZZTIME) ./internal/game
 	$(GO) test -run='^$$' -fuzz='^FuzzRatVsBigRat$$' -fuzztime=$(FUZZTIME) ./internal/rat
 	$(GO) test -run='^$$' -fuzz='^FuzzServeSolve$$' -fuzztime=$(FUZZTIME) ./internal/server
@@ -170,4 +177,4 @@ trace-smoke:
 linkcheck:
 	$(GO) run ./cmd/linkcheck $(DOCS)
 
-check: build lint race linkcheck
+check: build fmtcheck lint race linkcheck

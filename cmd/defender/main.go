@@ -190,8 +190,6 @@ func cmdInfo(g *graph.Graph) error {
 		fmt.Printf("  defender gain at power k: k·ν/%d;  per-attacker arrest probability: k/%d\n", len(p.IS), len(p.IS))
 	case errors.Is(err, cover.ErrNoPartition):
 		fmt.Println("k-matching NE: NO — no independent-set/expander partition exists (Cor 4.11)")
-	case errors.Is(err, cover.ErrPartitionNotFound):
-		fmt.Println("k-matching NE: UNKNOWN — heuristic search found no partition")
 	default:
 		return err
 	}

@@ -88,8 +88,6 @@ var (
 	ErrCannotVerify = core.ErrCannotVerify
 	// ErrNoPartition: no independent-set/expander partition exists.
 	ErrNoPartition = cover.ErrNoPartition
-	// ErrPartitionNotFound: the heuristic partition search gave up.
-	ErrPartitionNotFound = cover.ErrPartitionNotFound
 	// ErrNotBipartite: a bipartite-only routine met an odd cycle.
 	ErrNotBipartite = graph.ErrNotBipartite
 	// ErrIsolatedVertex: the model forbids isolated vertices.
@@ -143,8 +141,8 @@ func NewGame(g *Graph, attackers, k int) (*Game, error) {
 }
 
 // Solve computes a k-matching mixed Nash equilibrium of Π_k(G) end to end:
-// it finds an (IS, VC) partition (König's theorem for bipartite graphs,
-// exact enumeration or greedy search otherwise) and runs Algorithm A_tuple.
+// it decides the (IS, VC) partition exactly (see FindPartition) and runs
+// Algorithm A_tuple.
 // For bipartite graphs this is the Theorem 5.1 pipeline with total cost
 // max{O(k·n), O(m√n)}.
 func Solve(g *Graph, attackers, k int) (TupleEquilibrium, error) {
@@ -162,10 +160,11 @@ func SolveWithPartition(g *Graph, attackers, k int, p Partition) (TupleEquilibri
 	return core.AlgorithmATuple(g, attackers, k, p)
 }
 
-// FindPartition searches for an independent-set/expander partition of G —
-// the Corollary 4.11 certificate that k-matching equilibria exist. It
-// returns ErrNoPartition when non-existence is proven and
-// ErrPartitionNotFound when the heuristic gives up.
+// FindPartition decides whether G has an independent-set/expander
+// partition — the Corollary 4.11 certificate that k-matching equilibria
+// exist — and returns it, or ErrNoPartition when none exists. The decision
+// is exact on every graph: König's theorem for bipartite graphs, a
+// König–Egerváry 2-SAT check on a maximum matching otherwise (O(n³)).
 func FindPartition(g *Graph) (Partition, error) {
 	return cover.FindNEPartition(g)
 }

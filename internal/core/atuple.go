@@ -38,10 +38,11 @@ func AlgorithmATuple(g *graph.Graph, attackers, k int, p cover.Partition) (Tuple
 	return LiftToTupleModel(edgeNE, k)
 }
 
-// SolveTupleModel computes a k-matching NE of Π_k(G) end to end: it finds a
-// partition (cover.FindNEPartition) and runs Algorithm A_tuple. For
-// bipartite graphs this is the paper's Theorem 5.1 pipeline with total cost
-// max{O(k·n), O(m√n)}.
+// SolveTupleModel computes a k-matching NE of Π_k(G) end to end: it decides
+// the Corollary 4.11 partition exactly (cover.FindNEPartition) and runs
+// Algorithm A_tuple, returning ErrNoMatchingNE when no partition exists.
+// For bipartite graphs this is the paper's Theorem 5.1 pipeline with total
+// cost max{O(k·n), O(m√n)}.
 func SolveTupleModel(g *graph.Graph, attackers, k int) (TupleEquilibrium, error) {
 	return SolveTupleModelCtx(context.Background(), g, attackers, k)
 }
@@ -61,21 +62,4 @@ func SolveTupleModelCtx(ctx context.Context, g *graph.Graph, attackers, k int) (
 		return TupleEquilibrium{}, err
 	}
 	return AlgorithmATuple(g, attackers, k, p)
-}
-
-// AdmitsKMatchingNE decides the characterization of Corollary 4.11: Π_k(G)
-// admits a k-matching NE iff V(G) partitions into an independent set IS and
-// VC with G a VC-expander. The returned error distinguishes proven
-// non-existence (ErrNoMatchingNE) from a heuristic give-up
-// (cover.ErrPartitionNotFound); the partition is returned on success.
-//
-// Note the characterization is independent of k; availability of tuples of
-// k distinct support edges additionally needs k <= |IS| (ErrKTooLarge is
-// reported by the constructions when violated).
-func AdmitsKMatchingNE(g *graph.Graph) (cover.Partition, error) {
-	p, err := cover.FindNEPartition(g)
-	if errors.Is(err, cover.ErrNoPartition) {
-		return cover.Partition{}, fmt.Errorf("%w: %v", ErrNoMatchingNE, err)
-	}
-	return p, err
 }

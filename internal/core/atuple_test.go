@@ -93,15 +93,33 @@ func TestSolveTupleModelGainLinearInK(t *testing.T) {
 	}
 }
 
+// TestAdmitsKMatchingNE checks the Corollary 4.11 decision end to end:
+// a partition exists iff SolveTupleModel builds a k-matching NE.
 func TestAdmitsKMatchingNE(t *testing.T) {
-	if _, err := AdmitsKMatchingNE(graph.Grid(4, 4)); err != nil {
+	if _, err := cover.FindNEPartition(graph.Grid(4, 4)); err != nil {
 		t.Errorf("grid must admit: %v", err)
 	}
-	if _, err := AdmitsKMatchingNE(graph.Cycle(9)); !errors.Is(err, ErrNoMatchingNE) {
+	if _, err := SolveTupleModel(graph.Grid(4, 4), 2, 2); err != nil {
+		t.Errorf("grid: %v", err)
+	}
+	if _, err := SolveTupleModel(graph.Cycle(9), 2, 1); !errors.Is(err, ErrNoMatchingNE) {
 		t.Errorf("C9: err = %v, want ErrNoMatchingNE", err)
 	}
-	if _, err := AdmitsKMatchingNE(graph.Petersen()); err == nil {
-		t.Error("petersen admits no partition (max IS = 4, VC = 6)")
+	if _, err := SolveTupleModel(graph.Petersen(), 2, 1); !errors.Is(err, ErrNoMatchingNE) {
+		t.Errorf("petersen admits no partition (ν = 5 < τ = 6): err = %v", err)
+	}
+}
+
+// TestOddCycleBeyondEnumerationRefuted: an odd cycle too long for an
+// exhaustive search is still refuted exactly, by the König–Egerváry
+// route.
+func TestOddCycleBeyondEnumerationRefuted(t *testing.T) {
+	g := graph.Cycle(31)
+	if _, err := cover.FindNEPartition(g); !errors.Is(err, cover.ErrNoPartition) {
+		t.Errorf("FindNEPartition: err = %v, want ErrNoPartition", err)
+	}
+	if _, err := SolveTupleModel(g, 2, 1); !errors.Is(err, ErrNoMatchingNE) {
+		t.Errorf("SolveTupleModel: err = %v, want ErrNoMatchingNE", err)
 	}
 }
 

@@ -107,11 +107,9 @@ func AlgorithmA(g *graph.Graph, attackers int, p cover.Partition) (EdgeEquilibri
 	}, nil
 }
 
-// SolveEdgeModel finds a matching NE of Π_1(G) end to end: it searches for
-// an (IS, VC) partition (König route for bipartite graphs, exact or greedy
-// otherwise; see cover.FindNEPartition) and runs Algorithm A. It returns
-// ErrNoMatchingNE when non-existence is proven and
-// cover.ErrPartitionNotFound when the heuristic gives up.
+// SolveEdgeModel finds a matching NE of Π_1(G) end to end: it decides
+// the (IS, VC) partition exactly (cover.FindNEPartition) and runs
+// Algorithm A. It returns ErrNoMatchingNE when no partition exists.
 func SolveEdgeModel(g *graph.Graph, attackers int) (EdgeEquilibrium, error) {
 	p, err := cover.FindNEPartition(g)
 	if err != nil {

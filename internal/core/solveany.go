@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"github.com/defender-game/defender/internal/cover"
 	"github.com/defender-game/defender/internal/game"
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/lp"
@@ -52,8 +51,7 @@ func SolveAnyCtx(ctx context.Context, g *graph.Graph, attackers, k int) (ne Tupl
 	}()
 	if ne, err := SolveTupleModelCtx(ctx, g, attackers, k); err == nil {
 		return ne, "k-matching", nil
-	} else if !errors.Is(err, ErrNoMatchingNE) && !errors.Is(err, ErrKTooLarge) &&
-		!errors.Is(err, cover.ErrPartitionNotFound) && !errors.Is(err, cover.ErrTooLarge) {
+	} else if !errors.Is(err, ErrNoMatchingNE) && !errors.Is(err, ErrKTooLarge) {
 		return TupleEquilibrium{}, "", err
 	}
 	if ne, err := PerfectMatchingNE(g, attackers, k); err == nil {

@@ -150,7 +150,7 @@ func TestZooNonAdmitting(t *testing.T) {
 	for _, z := range zoo {
 		z := z
 		t.Run(z.name, func(t *testing.T) {
-			if _, err := cover.FindNEPartitionExact(z.g, 0); !errors.Is(err, cover.ErrNoPartition) {
+			if _, err := cover.FindNEPartition(z.g); !errors.Is(err, cover.ErrNoPartition) {
 				t.Fatalf("partition err = %v, want ErrNoPartition", err)
 			}
 			if _, err := SolveTupleModel(z.g, 2, 1); !errors.Is(err, ErrNoMatchingNE) {
@@ -167,8 +167,10 @@ func TestZooNonAdmitting(t *testing.T) {
 func TestZooWheelHasNoPartition(t *testing.T) {
 	for _, n := range []int{5, 6, 7, 8} {
 		g := graph.Wheel(n)
-		_, err := cover.FindNEPartitionExact(g, 0)
-		if !errors.Is(err, cover.ErrNoPartition) {
+		if count, err := cover.CountNEPartitions(g); err != nil || count != 0 {
+			t.Errorf("W%d: %d partitions (err %v), want 0", n, count, err)
+		}
+		if _, err := cover.FindNEPartition(g); !errors.Is(err, cover.ErrNoPartition) {
 			t.Errorf("W%d: err = %v, want ErrNoPartition", n, err)
 		}
 	}

@@ -29,8 +29,8 @@ var (
 	// ErrNoPartition is returned when it is proven that no independent set /
 	// expander partition exists (so no k-matching equilibrium exists).
 	ErrNoPartition = errors.New("cover: no matching-equilibrium partition exists")
-	// ErrPartitionNotFound is returned when the heuristic search gives up
-	// without proving non-existence.
+	// ErrPartitionNotFound is returned when the sparse greedy search
+	// (FindNEPartitionGreedyCSR) gives up without proving non-existence.
 	ErrPartitionNotFound = errors.New("cover: heuristic search found no matching-equilibrium partition")
 	// ErrTooLarge is returned by exact (exponential) procedures invoked on
 	// graphs beyond their configured size limit.
@@ -229,57 +229,6 @@ func MinimumVertexCoverBipartite(g *graph.Graph) ([]int, error) {
 	vc := matching.KonigVertexCover(g, side, mate)
 	sort.Ints(vc)
 	return vc, nil
-}
-
-// MaximumIndependentSetBipartite returns a maximum independent set of a
-// bipartite graph (the complement of a minimum vertex cover). O(m sqrt n);
-// allocates the set plus MinimumVertexCoverBipartite's scratch.
-func MaximumIndependentSetBipartite(g *graph.Graph) ([]int, error) {
-	vc, err := MinimumVertexCoverBipartite(g)
-	if err != nil {
-		return nil, err
-	}
-	return graph.SetComplement(vc, g.NumVertices()), nil
-}
-
-// GreedyVertexCover returns a maximal-matching-based vertex cover (a
-// 2-approximation of the minimum) for arbitrary graphs. O(n + m);
-// allocates the cover and the greedy mate array.
-func GreedyVertexCover(g *graph.Graph) []int {
-	mate := matching.Greedy(g)
-	var vc []int
-	for v, u := range mate {
-		if u != matching.Unmatched {
-			vc = append(vc, v)
-		}
-	}
-	return vc
-}
-
-// GreedyIndependentSet returns a maximal independent set built by scanning
-// vertices in the given order (ascending degree is a good default; pass nil
-// to use vertex order 0..n-1). O(n + m); allocates the sorted set and a
-// blocked bitmap. Sparse path: GreedyIndependentSetCSR.
-func GreedyIndependentSet(g *graph.Graph, order []int) []int {
-	n := g.NumVertices()
-	if order == nil {
-		order = make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-	}
-	blocked := make([]bool, n)
-	var is []int
-	for _, v := range order {
-		if v < 0 || v >= n || blocked[v] {
-			continue
-		}
-		is = append(is, v)
-		blocked[v] = true
-		g.EachNeighbor(v, func(u int) { blocked[u] = true })
-	}
-	sort.Ints(is)
-	return is
 }
 
 // membership converts a vertex list into a boolean lookup of length n.

@@ -252,57 +252,16 @@ func TestPropertyKonigCoverIsMinimum(t *testing.T) {
 	}
 }
 
+// The König route's IS is a maximum independent set: the complement of
+// a minimum vertex cover.
 func TestMaximumIndependentSetBipartite(t *testing.T) {
 	g := graph.CompleteBipartite(3, 5)
-	is, err := MaximumIndependentSetBipartite(g)
+	p, err := FindNEPartitionBipartite(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(is) != 5 || !IsIndependentSet(g, is) {
-		t.Errorf("IS = %v", is)
-	}
-}
-
-func TestGreedyVertexCover(t *testing.T) {
-	g := graph.RandomConnected(30, 0.2, 9)
-	vc := GreedyVertexCover(g)
-	if !IsVertexCover(g, vc) {
-		t.Fatal("greedy result is not a vertex cover")
-	}
-}
-
-func TestGreedyIndependentSet(t *testing.T) {
-	g := graph.Cycle(6)
-	is := GreedyIndependentSet(g, nil)
-	if !IsIndependentSet(g, is) {
-		t.Fatal("not independent")
-	}
-	if len(is) != 3 {
-		t.Errorf("|IS| = %d, want 3 on C6 with natural order", len(is))
-	}
-	// Custom order and junk entries.
-	is2 := GreedyIndependentSet(g, []int{5, 99, -3, 1, 3})
-	if !IsIndependentSet(g, is2) {
-		t.Fatal("custom order: not independent")
-	}
-	// Maximality: every vertex outside is adjacent to the set.
-	member := make(map[int]bool)
-	for _, v := range is {
-		member[v] = true
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if member[v] {
-			continue
-		}
-		adjacent := false
-		g.EachNeighbor(v, func(u int) {
-			if member[u] {
-				adjacent = true
-			}
-		})
-		if !adjacent {
-			t.Fatalf("vertex %d could extend the greedy IS", v)
-		}
+	if len(p.IS) != 5 || !IsIndependentSet(g, p.IS) {
+		t.Errorf("IS = %v", p.IS)
 	}
 }
 

@@ -169,7 +169,7 @@ func FindNEPartitionGreedyCSR(c *graph.CSR) (PartitionCSR, error) {
 // a solve that already computed ρ(G) pays for neither again. Everything
 // else takes the greedy-plus-SDR heuristic, which cannot prove
 // non-existence — exact refutation stays on the dense path,
-// FindNEPartitionExact. Returns ErrIsolatedVertex when the game is
+// FindNEPartition. Returns ErrIsolatedVertex when the game is
 // ill-defined. O(m sqrt n) on the bipartite route, O(n + m) once the
 // matching is memoized.
 func FindNEPartitionCSR(c *graph.CSR) (PartitionCSR, error) {
@@ -185,8 +185,7 @@ func FindNEPartitionCSR(c *graph.CSR) (PartitionCSR, error) {
 }
 
 // GreedyIndependentSetCSR returns a maximal independent set built by
-// scanning vertices in the given order, ascending — the sparse analogue
-// of GreedyIndependentSet. O(n + m); allocates the set, a blocked bitset,
+// scanning vertices in the given order, ascending. O(n + m); allocates the set, a blocked bitset,
 // and the sort scratch.
 func GreedyIndependentSetCSR(c *graph.CSR, order []int32) []int32 {
 	n := c.NumVertices()

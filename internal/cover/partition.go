@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"math/rand"
-	"sort"
 
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/matching"
 )
 
 // Partition is a split of V(G) into an independent set IS and its
@@ -56,95 +55,20 @@ func FindNEPartitionBipartite(g *graph.Graph) (Partition, error) {
 		// Cannot happen for a König cover of a graph without isolated
 		// vertices: each cover vertex is matched, and each matching edge has
 		// exactly one endpoint in the cover. Guard anyway.
-		return Partition{}, fmt.Errorf("%w: König cover failed expander check, violator %v", ErrPartitionNotFound, violator)
+		return Partition{}, fmt.Errorf("cover: König cover failed expander check, violator %v", violator)
 	}
 	return Partition{IS: is, VC: vc, Rep: rep}, nil
 }
 
-// FindNEPartitionExact decides partition existence exactly by enumerating
-// the maximal independent sets of g (if any partition (IS, VC) works, the
-// partition obtained by growing IS to a maximal independent set also works,
-// because growing IS only shrinks VC and enlarges the neighbor pool).
-// It is exponential in the worst case and refuses graphs with more than
-// maxVertices vertices (ErrTooLarge); pass 0 for the default limit of 24.
-//
-// It returns ErrNoPartition when no partition exists — a proof of
-// non-existence of k-matching equilibria by Corollary 4.11. Exponential
-// (Bron–Kerbosch over maximal independent sets); allocates enumeration
-// and SDR scratch per candidate set.
-func FindNEPartitionExact(g *graph.Graph, maxVertices int) (Partition, error) {
-	if maxVertices <= 0 {
-		maxVertices = 24
-	}
-	n := g.NumVertices()
-	if n > maxVertices || n > 64 {
-		return Partition{}, fmt.Errorf("%w: n=%d exceeds limit %d", ErrTooLarge, n, maxVertices)
-	}
-	var found *Partition
-	err := EnumerateMaximalIndependentSets(g, func(is []int) bool {
-		vc := graph.SetComplement(is, n)
-		if rep, _ := IsNEExpander(g, is, vc); rep != nil {
-			found = &Partition{IS: is, VC: vc, Rep: rep}
-			return false // stop enumeration
-		}
-		return true
-	})
-	if err != nil {
-		return Partition{}, err
-	}
-	if found == nil {
-		return Partition{}, ErrNoPartition
-	}
-	return *found, nil
-}
-
-// FindNEPartitionGreedy tries several randomized greedy maximal independent
-// sets and returns the first one whose complement passes the expander check.
-// It cannot prove non-existence: failure is ErrPartitionNotFound.
-// O(tries · |VC| · m); allocates candidate orders and per-try scratch.
-// Sparse (deterministic-orders-only) counterpart: FindNEPartitionGreedyCSR.
-func FindNEPartitionGreedy(g *graph.Graph, tries int, seed int64) (Partition, error) {
-	if tries <= 0 {
-		tries = 16
-	}
-	n := g.NumVertices()
-	rng := rand.New(rand.NewSource(seed))
-
-	natural := make([]int, n)
-	for i := range natural {
-		natural[i] = i
-	}
-	ascending := append([]int(nil), natural...)
-	sort.SliceStable(ascending, func(i, j int) bool { return g.Degree(ascending[i]) < g.Degree(ascending[j]) })
-	descending := append([]int(nil), natural...)
-	sort.SliceStable(descending, func(i, j int) bool { return g.Degree(descending[i]) > g.Degree(descending[j]) })
-
-	// Deterministic candidate orders first (natural order recovers the
-	// checkerboard partition on grid-like graphs, ascending degree tends to
-	// maximize |IS|), then random shuffles.
-	order := natural
-	deterministic := [][]int{natural, ascending, descending}
-	for attempt := 0; attempt < tries; attempt++ {
-		if attempt < len(deterministic) {
-			order = deterministic[attempt]
-		} else {
-			rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		}
-		is := GreedyIndependentSet(g, order)
-		vc := graph.SetComplement(is, n)
-		if rep, _ := IsNEExpander(g, is, vc); rep != nil {
-			return Partition{IS: is, VC: vc, Rep: rep}, nil
-		}
-	}
-	return Partition{}, ErrPartitionNotFound
-}
-
-// FindNEPartition is the combined search used by the solvers: bipartite
-// graphs take the König route (polynomial, always succeeds); otherwise small
-// graphs are decided exactly and large graphs heuristically. Cost is the
-// chosen route's (polynomial bipartite, exponential exact on n <= 24,
-// else the greedy heuristic). Sparse counterpart: FindNEPartitionCSR,
-// routing documented in SCALING.md "Routing".
+// FindNEPartition decides Corollary 4.11 exactly for every graph and
+// returns a partition, ErrNoPartition (a proof that no k-matching
+// equilibrium exists) or ErrIsolatedVertex. Bipartite graphs take the
+// König route (FindNEPartitionBipartite). Every other graph takes the
+// König–Egerváry route: with the IS-restricted expander condition, a
+// partition exists iff ν(G) = τ(G), which a maximum matching turns into
+// a 2-SAT instance (partitionFromMatching). O(n^3) (blossom-dominated);
+// allocates the matching and the implication graph. Sparse counterpart:
+// FindNEPartitionCSR, routing documented in SCALING.md "Routing".
 func FindNEPartition(g *graph.Graph) (Partition, error) {
 	if g.HasIsolatedVertex() {
 		return Partition{}, ErrIsolatedVertex
@@ -152,10 +76,51 @@ func FindNEPartition(g *graph.Graph) (Partition, error) {
 	if g.IsBipartite() {
 		return FindNEPartitionBipartite(g)
 	}
-	if p, err := FindNEPartitionExact(g, 0); !errors.Is(err, ErrTooLarge) {
-		return p, err
+	return partitionFromMatching(g, matching.Maximum(g))
+}
+
+// partitionFromMatching looks for a vertex cover C that holds exactly
+// one endpoint of every edge of the matching mate and no unmatched
+// vertex, i.e. a cover of size |M|. Such a cover makes (V∖C, C) a
+// partition with the mates as representatives: V∖C is independent, and
+// each cover vertex's mate lies outside C. Conversely, when M is maximum
+// every partition's VC is such a cover: VC covers every edge and its
+// representatives are a matching, so ν ≥ |VC| ≥ τ ≥ ν and |VC| = |M|.
+// An unsatisfiable instance therefore proves ErrNoPartition (Gavril
+// 1977; Deming 1979, Sterboul 1979). The search is 2-SAT over "v ∈ C"
+// (satisfy2SAT). O(n + m); allocates the implication graph and the
+// partition.
+func partitionFromMatching(g *graph.Graph, mate []int) (Partition, error) {
+	n := g.NumVertices()
+	imp := make([][]int, 2*n) // literal 2v is "v ∈ C", 2v+1 "v ∉ C"
+	for v := 0; v < n; v++ {
+		// C covers every edge, so v ∉ C puts each neighbor in C.
+		imp[2*v+1] = g.Neighbors(v)
+		for i, u := range imp[2*v+1] {
+			imp[2*v+1][i] = 2 * u
+		}
+		// One endpoint per matching edge: v ∈ C puts its mate out of C,
+		// and an unmatched v cannot be in C at all.
+		if u := mate[v]; u == matching.Unmatched {
+			imp[2*v] = []int{2*v + 1}
+		} else {
+			imp[2*v] = []int{2*u + 1}
+		}
 	}
-	return FindNEPartitionGreedy(g, 32, 1)
+	inC, ok := satisfy2SAT(imp)
+	if !ok {
+		return Partition{}, ErrNoPartition
+	}
+	p := Partition{Rep: make(map[int]int)}
+	for v := 0; v < n; v++ {
+		if inC[v] {
+			p.VC = append(p.VC, v)
+			p.Rep[v] = mate[v]
+		} else {
+			p.IS = append(p.IS, v)
+		}
+	}
+	return p, nil
 }
 
 // EnumerateNEPartitions visits every partition (IS, VC) whose IS is a
@@ -166,9 +131,11 @@ func FindNEPartition(g *graph.Graph) (Partition, error) {
 // the worst case.
 //
 // Note this intentionally enumerates only maximal independent sets: any
-// valid non-maximal IS extends to a maximal one that is also valid (see
-// FindNEPartitionExact), so maximal sets witness every equilibrium-
-// admitting support family's canonical representative.
+// valid non-maximal IS extends to a maximal one that is also valid
+// (growing IS only shrinks VC and enlarges the neighbor pool), so maximal
+// sets witness every equilibrium-admitting support family's canonical
+// representative. The first visit, if any, decides Corollary 4.11 like
+// FindNEPartition does; the tests use it as FindNEPartition's oracle.
 func EnumerateNEPartitions(g *graph.Graph, visit func(Partition) bool) error {
 	n := g.NumVertices()
 	return EnumerateMaximalIndependentSets(g, func(is []int) bool {

@@ -3,11 +3,14 @@ package cover
 import (
 	"errors"
 	"math/rand"
+	"os"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/matching"
 )
 
 func TestFindNEPartitionBipartiteFamilies(t *testing.T) {
@@ -47,68 +50,68 @@ func TestFindNEPartitionBipartiteRejectsOddCycle(t *testing.T) {
 func TestFindNEPartitionExactProvenNegative(t *testing.T) {
 	// Odd cycles C5, C7: max IS leaves |VC| = |IS|+1, no SDR into IS.
 	for _, n := range []int{3, 5, 7, 9} {
-		if _, err := FindNEPartitionExact(graph.Cycle(n), 0); !errors.Is(err, ErrNoPartition) {
+		if _, err := FindNEPartition(graph.Cycle(n)); !errors.Is(err, ErrNoPartition) {
 			t.Errorf("C%d: err = %v, want ErrNoPartition", n, err)
 		}
 	}
 	// Complete graphs K_n, n >= 3: IS size 1, VC size n-1.
 	for _, n := range []int{3, 4, 6} {
-		if _, err := FindNEPartitionExact(graph.Complete(n), 0); !errors.Is(err, ErrNoPartition) {
+		if _, err := FindNEPartition(graph.Complete(n)); !errors.Is(err, ErrNoPartition) {
 			t.Errorf("K%d: err = %v, want ErrNoPartition", n, err)
 		}
+	}
+	// Petersen: ν = 5 but τ = 6, so it is not König–Egerváry.
+	if _, err := FindNEPartition(graph.Petersen()); !errors.Is(err, ErrNoPartition) {
+		t.Errorf("Petersen: err = %v, want ErrNoPartition", err)
 	}
 }
 
 func TestFindNEPartitionExactPositive(t *testing.T) {
-	// K2 partitions as IS={0}, VC={1} (or symmetric).
-	p, err := FindNEPartitionExact(graph.Path(2), 0)
-	if err != nil {
-		t.Fatalf("K2: %v", err)
-	}
-	if err := p.Validate(graph.Path(2)); err != nil {
-		t.Fatal(err)
-	}
-	// Even cycles.
-	for _, n := range []int{4, 6, 8} {
-		g := graph.Cycle(n)
-		p, err := FindNEPartitionExact(g, 0)
+	for name, g := range map[string]*graph.Graph{
+		"K2": graph.Path(2), "C4": graph.Cycle(4), "C6": graph.Cycle(6), "C8": graph.Cycle(8),
+		"K5 corona": corona(graph.Complete(5)), "Petersen corona": corona(graph.Petersen()),
+	} {
+		p, err := FindNEPartition(g)
 		if err != nil {
-			t.Fatalf("C%d: %v", n, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if err := p.Validate(g); err != nil {
-			t.Fatalf("C%d: %v", n, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
 
+// The exponential enumeration stops at 64 vertices; FindNEPartition has
+// no size limit.
 func TestFindNEPartitionExactTooLarge(t *testing.T) {
-	if _, err := FindNEPartitionExact(graph.Cycle(30), 0); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("err = %v, want ErrTooLarge", err)
+	if err := EnumerateNEPartitions(graph.Cycle(67), func(Partition) bool { return true }); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("enumeration, n>64: err = %v, want ErrTooLarge", err)
 	}
-	if _, err := FindNEPartitionExact(graph.Cycle(66), 70); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("n>64: err = %v, want ErrTooLarge", err)
+	if _, err := FindNEPartition(graph.Cycle(67)); !errors.Is(err, ErrNoPartition) {
+		t.Errorf("C67: err = %v, want ErrNoPartition", err)
+	}
+	g := corona(graph.Complete(40))
+	p, err := FindNEPartition(g)
+	if err != nil {
+		t.Fatalf("K40 corona: %v", err)
+	}
+	if err := p.Validate(g); err != nil {
+		t.Fatalf("K40 corona: %v", err)
 	}
 }
 
-func TestFindNEPartitionGreedy(t *testing.T) {
-	g := graph.Grid(5, 8)
-	p, err := FindNEPartitionGreedy(g, 16, 1)
-	if err != nil {
-		t.Fatalf("greedy on grid: %v", err)
+// corona hangs one pendant vertex off every vertex of h: the pendants
+// form the IS, h the VC, and the pendant edges are the SDR.
+func corona(h *graph.Graph) *graph.Graph {
+	n := h.NumVertices()
+	g := graph.New(2 * n)
+	for _, e := range h.Edges() {
+		_ = g.AddEdge(e.U, e.V)
 	}
-	if err := p.Validate(g); err != nil {
-		t.Fatal(err)
+	for v := 0; v < n; v++ {
+		_ = g.AddEdge(v, n+v)
 	}
-	// Petersen graph: vertex-transitive non-bipartite; greedy should fail
-	// or succeed consistently with the exact decision.
-	_, exactErr := FindNEPartitionExact(graph.Petersen(), 0)
-	_, greedyErr := FindNEPartitionGreedy(graph.Petersen(), 32, 1)
-	if exactErr == nil && greedyErr != nil {
-		t.Log("greedy gave up where exact succeeded (allowed, heuristic)")
-	}
-	if exactErr != nil && greedyErr == nil {
-		t.Error("greedy claims a partition where exact proves none")
-	}
+	return g
 }
 
 func TestFindNEPartitionCombined(t *testing.T) {
@@ -116,9 +119,8 @@ func TestFindNEPartitionCombined(t *testing.T) {
 	if p, err := FindNEPartition(graph.Grid(3, 3)); err != nil || p.Validate(graph.Grid(3, 3)) != nil {
 		t.Errorf("grid: %v", err)
 	}
-	// Exact route (small non-bipartite, positive): C5 plus a pendant? Use a
-	// graph known to admit a partition: two K2s joined... take the "bull"-ish
-	// graph: triangle with two pendant vertices on distinct corners.
+	// König–Egerváry route, positive: the bull graph, a triangle with two
+	// pendant vertices on distinct corners.
 	bull := graph.New(5)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {0, 3}, {1, 4}} {
 		if err := bull.AddEdge(e[0], e[1]); err != nil {
@@ -132,7 +134,7 @@ func TestFindNEPartitionCombined(t *testing.T) {
 	if err := p.Validate(bull); err != nil {
 		t.Fatal(err)
 	}
-	// Exact route, negative.
+	// König–Egerváry route, negative.
 	if _, err := FindNEPartition(graph.Complete(5)); !errors.Is(err, ErrNoPartition) {
 		t.Errorf("K5: err = %v, want ErrNoPartition", err)
 	}
@@ -143,6 +145,121 @@ func TestFindNEPartitionCombined(t *testing.T) {
 	}
 	if _, err := FindNEPartition(lonely); !errors.Is(err, ErrIsolatedVertex) {
 		t.Errorf("isolated: err = %v, want ErrIsolatedVertex", err)
+	}
+}
+
+// checkAgainstEnumeration asserts that FindNEPartition agrees with the
+// exact enumeration on g (a partition exists iff the enumeration visits
+// one) and that any partition it returns is valid, with sorted sides.
+func checkAgainstEnumeration(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	exists := false
+	if err := EnumerateNEPartitions(g, func(Partition) bool { exists = true; return false }); err != nil {
+		t.Fatal(err)
+	}
+	p, err := FindNEPartition(g)
+	switch {
+	case err == nil && !exists:
+		t.Fatalf("FindNEPartition returned %+v, enumeration finds none (edges %v)", p, g.Edges())
+	case err == nil:
+		if err := p.Validate(g); err != nil {
+			t.Fatalf("invalid partition %+v: %v (edges %v)", p, err, g.Edges())
+		}
+		if !sort.IntsAreSorted(p.IS) || !sort.IntsAreSorted(p.VC) {
+			t.Fatalf("unsorted partition %+v", p)
+		}
+	case !errors.Is(err, ErrNoPartition):
+		t.Fatalf("FindNEPartition: %v (edges %v)", err, g.Edges())
+	case exists:
+		t.Fatalf("FindNEPartition says no partition, enumeration finds one (edges %v)", g.Edges())
+	}
+}
+
+// graphFromPairMask builds the graph on n vertices whose edges are the
+// pairs u < v, numbered 0, 1, ... in lexicographic order, for which bit
+// reports true.
+func graphFromPairMask(n int, bit func(i int) bool) *graph.Graph {
+	g := graph.New(n)
+	i := 0
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if bit(i) {
+				_ = g.AddEdge(u, v)
+			}
+			i++
+		}
+	}
+	return g
+}
+
+// Every labelled graph on 2–6 vertices with no isolated vertex.
+func TestFindNEPartitionExhaustiveSmall(t *testing.T) {
+	checked := 0
+	for n := 2; n <= 6; n++ {
+		pairs := n * (n - 1) / 2
+		for mask := 0; mask < 1<<pairs; mask++ {
+			g := graphFromPairMask(n, func(i int) bool { return mask&(1<<i) != 0 })
+			if g.HasIsolatedVertex() {
+				continue
+			}
+			checkAgainstEnumeration(t, g)
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no graphs checked")
+	}
+}
+
+// FuzzFindNEPartition differentially checks FindNEPartition against the
+// exact enumeration on graphs of up to 12 vertices: data[0] picks n and
+// the following bytes are a bitmask over the vertex pairs.
+func FuzzFindNEPartition(f *testing.F) {
+	f.Add([]byte{2, 0x07})             // K3
+	f.Add([]byte{4, 0x57})             // bull: triangle 0-1-2, pendants 0-3 and 1-4
+	f.Add([]byte{9, 0xff, 0xff, 0x0f}) // n = 10, the first 20 pairs
+	f.Add([]byte{11, 0xa5, 0x5a, 0xa5, 0x5a, 0xa5, 0x5a, 0xa5, 0x5a, 0xa5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) byte {
+			if i < len(data) {
+				return data[i]
+			}
+			return 0
+		}
+		n := 1 + int(at(0))%12
+		g := graphFromPairMask(n, func(i int) bool { return at(1+i/8)&(1<<(i%8)) != 0 })
+		if g.HasIsolatedVertex() {
+			t.Skip()
+		}
+		checkAgainstEnumeration(t, g)
+	})
+}
+
+// A 32-vertex non-bipartite graph with a partition that 32 greedy
+// maximal independent sets (natural, degree-sorted and shuffled orders)
+// all miss. It has no perfect matching, so no other equilibrium family
+// covers it either.
+func TestFindNEPartitionGreedyMissRegression(t *testing.T) {
+	data, err := os.ReadFile("testdata/greedy_miss.g6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ParseGraph6(strings.TrimSpace(string(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.IsBipartite() || g.NumVertices() < 30 {
+		t.Fatalf("regression graph must be non-bipartite with n >= 30, got n=%d", g.NumVertices())
+	}
+	p, err := FindNEPartition(g)
+	if err != nil {
+		t.Fatalf("FindNEPartition: %v", err)
+	}
+	if err := p.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.VC) != matching.Size(matching.Maximum(g)) {
+		t.Errorf("|VC| = %d, want ν", len(p.VC))
 	}
 }
 
@@ -247,7 +364,7 @@ func TestEnumerateNEPartitions(t *testing.T) {
 }
 
 func TestCountNEPartitionsAgreesWithExact(t *testing.T) {
-	// Positive count iff FindNEPartitionExact succeeds, over a small zoo.
+	// Positive count iff FindNEPartition succeeds, over a small zoo.
 	zoo := []*graph.Graph{
 		graph.Path(5), graph.Cycle(5), graph.Cycle(6), graph.Star(6),
 		graph.Complete(4), graph.Petersen(), graph.Grid(2, 3),
@@ -257,9 +374,9 @@ func TestCountNEPartitionsAgreesWithExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("zoo[%d]: %v", i, err)
 		}
-		_, exactErr := FindNEPartitionExact(g, 0)
-		if (count > 0) != (exactErr == nil) {
-			t.Errorf("zoo[%d]: count=%d but exact err=%v", i, count, exactErr)
+		_, findErr := FindNEPartition(g)
+		if (count > 0) != (findErr == nil) {
+			t.Errorf("zoo[%d]: count=%d but FindNEPartition err=%v", i, count, findErr)
 		}
 	}
 }
@@ -323,33 +440,13 @@ func TestPropertyMaximalISCount(t *testing.T) {
 	}
 }
 
-// Property: every partition found by any strategy validates; exact
-// non-existence implies greedy non-existence.
+// Property: FindNEPartition agrees with the exact enumeration on random
+// connected graphs.
 func TestPropertyPartitionSearchConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := graph.RandomConnected(3+rng.Intn(10), 0.3, seed)
-		exact, exactErr := FindNEPartitionExact(g, 0)
-		if exactErr == nil {
-			if exact.Validate(g) != nil {
-				return false
-			}
-			// IS must be sorted for downstream consumers.
-			if !sort.IntsAreSorted(exact.IS) || !sort.IntsAreSorted(exact.VC) {
-				return false
-			}
-		}
-		greedy, greedyErr := FindNEPartitionGreedy(g, 8, seed)
-		if greedyErr == nil {
-			if greedy.Validate(g) != nil {
-				return false
-			}
-			// Greedy success implies a partition exists: exact must agree.
-			if errors.Is(exactErr, ErrNoPartition) {
-				return false
-			}
-		}
-		return true
+		checkAgainstEnumeration(t, graph.RandomConnected(3+rng.Intn(10), 0.3, seed))
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -30,10 +30,10 @@ type cacheMetrics struct {
 func newCacheMetrics(kind string) cacheMetrics {
 	prefix := "experiments.cache." + kind + "."
 	return cacheMetrics{
-		hits:    obs.Default().Counter(prefix + "hits"),    // lint:invariant(metricname): per-kind family, catalogued as experiments.cache.<kind>.hits
-		misses:  obs.Default().Counter(prefix + "misses"),  // lint:invariant(metricname): per-kind family, catalogued as experiments.cache.<kind>.misses
-		stores:  obs.Default().Counter(prefix + "stores"),  // lint:invariant(metricname): per-kind family, catalogued as experiments.cache.<kind>.stores
-		entries: obs.Default().Gauge(prefix + "entries"),   // lint:invariant(metricname): per-kind family, catalogued as experiments.cache.<kind>.entries
+		hits:    obs.Default().Counter(prefix + "hits"),   // lint:invariant(metricname): per-kind family, catalogued as experiments.cache.<kind>.hits
+		misses:  obs.Default().Counter(prefix + "misses"), // lint:invariant(metricname): per-kind family, catalogued as experiments.cache.<kind>.misses
+		stores:  obs.Default().Counter(prefix + "stores"), // lint:invariant(metricname): per-kind family, catalogued as experiments.cache.<kind>.stores
+		entries: obs.Default().Gauge(prefix + "entries"),  // lint:invariant(metricname): per-kind family, catalogued as experiments.cache.<kind>.entries
 	}
 }
 

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 
 	"github.com/defender-game/defender/internal/core"
 	"github.com/defender-game/defender/internal/cover"
@@ -141,12 +143,14 @@ func E6Characterization(cfg Config) (Table, error) {
 			var admit, found, missed, falsePos int
 			for i := 0; i < samples; i++ {
 				g := ens.gen(i)
-				_, exactErr := cover.FindNEPartitionExact(g, 0)
-				exists := exactErr == nil
+				exists := false
+				if err := cover.EnumerateNEPartitions(g, func(cover.Partition) bool { exists = true; return false }); err != nil {
+					return nil, err
+				}
 				if exists {
 					admit++
 				}
-				_, greedyErr := cover.FindNEPartitionGreedy(g, 16, cfg.Seed)
+				_, greedyErr := findNEPartitionGreedy(g, 16, cfg.Seed)
 				switch {
 				case greedyErr == nil && exists:
 					found++
@@ -185,4 +189,53 @@ func E6Characterization(cfg Config) (Table, error) {
 		"bipartite graphs always admit (Thm 5.1); odd cycles and cliques never do",
 	)
 	return r.finish(t), nil
+}
+
+// findNEPartitionGreedy is the heuristic E6 compares with the exact
+// decision: the first greedy maximal independent set (natural, ascending-
+// and descending-degree orders, then random shuffles) whose complement is
+// an expander, else cover.ErrPartitionNotFound. O(tries · |VC| · m).
+func findNEPartitionGreedy(g *graph.Graph, tries int, seed int64) (cover.Partition, error) {
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(seed))
+	natural := make([]int, n)
+	for i := range natural {
+		natural[i] = i
+	}
+	ascending := append([]int(nil), natural...)
+	sort.SliceStable(ascending, func(i, j int) bool { return g.Degree(ascending[i]) < g.Degree(ascending[j]) })
+	descending := append([]int(nil), natural...)
+	sort.SliceStable(descending, func(i, j int) bool { return g.Degree(descending[i]) > g.Degree(descending[j]) })
+	order := natural
+	deterministic := [][]int{natural, ascending, descending}
+	for attempt := 0; attempt < tries; attempt++ {
+		if attempt < len(deterministic) {
+			order = deterministic[attempt]
+		} else {
+			rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		}
+		is := greedyIndependentSet(g, order)
+		vc := graph.SetComplement(is, n)
+		if rep, _ := cover.IsNEExpander(g, is, vc); rep != nil {
+			return cover.Partition{IS: is, VC: vc, Rep: rep}, nil
+		}
+	}
+	return cover.Partition{}, cover.ErrPartitionNotFound
+}
+
+// greedyIndependentSet returns the maximal independent set built by
+// scanning the vertices in order, sorted ascending. O(n + m).
+func greedyIndependentSet(g *graph.Graph, order []int) []int {
+	blocked := make([]bool, g.NumVertices())
+	var is []int
+	for _, v := range order {
+		if blocked[v] {
+			continue
+		}
+		is = append(is, v)
+		blocked[v] = true
+		g.EachNeighbor(v, func(u int) { blocked[u] = true })
+	}
+	sort.Ints(is)
+	return is
 }

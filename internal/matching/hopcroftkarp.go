@@ -1,7 +1,6 @@
 package matching
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/defender-game/defender/internal/graph"
@@ -20,17 +19,11 @@ var obsHKPhases = obs.Default().Counter("matching.hopcroftkarp.phases")
 //
 // The function validates that side is a proper 2-coloring of g and returns
 // an error otherwise, so callers cannot silently run it on an odd cycle.
-// Allocates the mate array plus per-phase BFS/DFS scratch.
+// Allocates the mate array plus per-phase BFS/DFS scratch. The run is
+// timed as the span "matching.hopcroftkarp" (histogram
+// matching.hopcroftkarp.seconds).
 func HopcroftKarp(g *graph.Graph, side []int) ([]int, error) {
-	return HopcroftKarpCtx(context.Background(), g, side)
-}
-
-// HopcroftKarpCtx is HopcroftKarp under ctx's trace: the run is timed as
-// the span "matching.hopcroftkarp" (histogram
-// matching.hopcroftkarp.seconds). The algorithm itself is not
-// interruptible; ctx only correlates.
-func HopcroftKarpCtx(ctx context.Context, g *graph.Graph, side []int) ([]int, error) {
-	sp, _ := obs.Default().StartSpanCtx(ctx, "matching.hopcroftkarp")
+	sp := obs.Default().StartSpan("matching.hopcroftkarp")
 	defer sp.End()
 	n := g.NumVertices()
 	if len(side) != n {
@@ -119,17 +112,11 @@ func HopcroftKarpCtx(ctx context.Context, g *graph.Graph, side []int) ([]int, er
 // bipartition itself. It returns graph.ErrNotBipartite if g has an odd cycle.
 // O(m sqrt n); allocates the side array plus HopcroftKarp's scratch.
 func MaximumBipartite(g *graph.Graph) ([]int, error) {
-	return MaximumBipartiteCtx(context.Background(), g)
-}
-
-// MaximumBipartiteCtx is MaximumBipartite with ctx threaded through to
-// HopcroftKarpCtx for trace correlation.
-func MaximumBipartiteCtx(ctx context.Context, g *graph.Graph) ([]int, error) {
 	side, err := g.Bipartition()
 	if err != nil {
 		return nil, err
 	}
-	return HopcroftKarpCtx(ctx, g, side)
+	return HopcroftKarp(g, side)
 }
 
 // KonigVertexCover converts a maximum matching of a bipartite graph into a

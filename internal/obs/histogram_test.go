@@ -67,10 +67,10 @@ func TestHistogramSingleObservationIsExact(t *testing.T) {
 func TestHistogramEdgeObservations(t *testing.T) {
 	r := enabledRegistry()
 	h := r.Histogram("h")
-	h.Observe(-5)          // clamps to 0
-	h.Observe(math.NaN())  // dropped
-	h.Observe(0)           // bucket 0
-	h.Observe(1e12)        // beyond the top bucket bound: clamps to last bucket
+	h.Observe(-5)         // clamps to 0
+	h.Observe(math.NaN()) // dropped
+	h.Observe(0)          // bucket 0
+	h.Observe(1e12)       // beyond the top bucket bound: clamps to last bucket
 	if h.Count() != 3 {
 		t.Fatalf("count = %d, want 3 (NaN dropped)", h.Count())
 	}

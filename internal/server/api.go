@@ -163,18 +163,18 @@ type ErrorInfo struct {
 
 // Error codes of the /v1 API.
 const (
-	CodeBadRequest       = "bad_request"       // malformed JSON or request shape
-	CodeBadGraph6        = "bad_graph6"        // graph6 string rejected
-	CodeBadGraph         = "bad_graph"         // edge list rejected
-	CodeGraphTooLarge    = "graph_too_large"   // vertex count over the server cap
-	CodeBadK             = "bad_k"             // k outside 1..m
-	CodeBadAttackers     = "bad_attackers"     // attackers < 1
-	CodeIsolatedVertex   = "isolated_vertex"   // model undefined on the graph
-	CodeTooLarge         = "too_large"         // tuple space over the enumeration budget
-	CodeTimeout          = "timeout"           // per-solve deadline exceeded
-	CodeQueueFull        = "queue_full"        // broker backpressure (429)
-	CodeNotFound         = "not_found"         // unknown route or job id
+	CodeBadRequest       = "bad_request"     // malformed JSON or request shape
+	CodeBadGraph6        = "bad_graph6"      // graph6 string rejected
+	CodeBadGraph         = "bad_graph"       // edge list rejected
+	CodeGraphTooLarge    = "graph_too_large" // vertex count over the server cap
+	CodeBadK             = "bad_k"           // k outside 1..m
+	CodeBadAttackers     = "bad_attackers"   // attackers < 1
+	CodeIsolatedVertex   = "isolated_vertex" // model undefined on the graph
+	CodeTooLarge         = "too_large"       // tuple space over the enumeration budget
+	CodeTimeout          = "timeout"         // per-solve deadline exceeded
+	CodeQueueFull        = "queue_full"      // broker backpressure (429)
+	CodeNotFound         = "not_found"       // unknown route or job id
 	CodeMethodNotAllowed = "method_not_allowed"
-	CodeBodyTooLarge     = "body_too_large"    // request body over the byte cap
-	CodeInternal         = "internal"          // unexpected solver failure
+	CodeBodyTooLarge     = "body_too_large" // request body over the byte cap
+	CodeInternal         = "internal"       // unexpected solver failure
 )

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -130,6 +131,32 @@ func TestSolveCycleKMatching(t *testing.T) {
 	}
 	if r.Graph6 == "" {
 		t.Error("missing canonical graph6 echo")
+	}
+}
+
+// TestSolveKEGraphWithoutPerfectMatching: a 32-vertex non-bipartite graph
+// with a Cor 4.11 partition that greedy maximal independent sets miss,
+// and no perfect matching. At k = 4 its tuple space C(50,4) is over the
+// LP budget, so only the k-matching family can answer.
+func TestSolveKEGraphWithoutPerfectMatching(t *testing.T) {
+	g6, err := os.ReadFile("../cover/testdata/greedy_miss.g6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(SolveRequest{Graph6: strings.TrimSpace(string(g6)), K: 4, Attackers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := do(newTestServer(t), http.MethodPost, "/v1/solve", string(body))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	r := decodeSolve(t, w).Result
+	if r == nil || r.MixedNE == nil || r.MixedNE.Family != "k-matching" {
+		t.Fatalf("want a k-matching NE, got %+v", r)
+	}
+	if r.GameValueSource != "closed-form" {
+		t.Errorf("game value source = %q, want closed-form", r.GameValueSource)
 	}
 }
 
