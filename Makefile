@@ -91,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzFindNEPartition$$' -fuzztime=$(FUZZTIME) ./internal/cover
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeProfile$$' -fuzztime=$(FUZZTIME) ./internal/game
 	$(GO) test -run='^$$' -fuzz='^FuzzRatVsBigRat$$' -fuzztime=$(FUZZTIME) ./internal/rat
+	$(GO) test -run='^$$' -fuzz='^FuzzSimplexVsDense$$' -fuzztime=$(FUZZTIME) ./internal/lp
 	$(GO) test -run='^$$' -fuzz='^FuzzServeSolve$$' -fuzztime=$(FUZZTIME) ./internal/server
 
 # loadtest boots defenderd on a private port, waits for /healthz, and

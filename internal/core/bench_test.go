@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/obs"
 )
 
 // MaxTupleLoad micro-benchmarks for `make bench-kernel`: the general-case
@@ -98,5 +99,40 @@ func BenchmarkMaxTupleLoadExhaustive(b *testing.B) {
 		if value.Sign() <= 0 {
 			b.Fatal("expected positive maximum load")
 		}
+	}
+}
+
+// BenchmarkGameValue measures the exact LP oracle end to end — tuple
+// enumeration, payoff build, revised simplex — on the serve-lp stratum
+// shapes that set its median (grid-3x5/k=2, grid-2x5/k=3, cycle-13/k=3)
+// and on C31/k=3 (4,495 tuples), the largest cycle LP the tests solve.
+// pivots/op reads lp.simplex.pivots, so the registry is enabled for the
+// run; it must equal the dense tableau's count on every shape.
+func BenchmarkGameValue(b *testing.B) {
+	reg := obs.Default()
+	was := reg.Enabled()
+	reg.SetEnabled(true)
+	b.Cleanup(func() { reg.SetEnabled(was) })
+	pivots := reg.Counter("lp.simplex.pivots")
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+		k    int
+	}{
+		{"grid-3x5/k=2", graph.Grid(3, 5), 2},
+		{"grid-2x5/k=3", graph.Grid(2, 5), 3},
+		{"cycle-13/k=3", graph.Cycle(13), 3},
+		{"C31/k=3", graph.Cycle(31), 3},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			before := pivots.Value()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := GameValue(bc.g, bc.k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(pivots.Value()-before)/float64(b.N), "pivots/op")
+		})
 	}
 }

@@ -30,6 +30,9 @@ type TupleEquilibrium struct {
 	EdgeSupport []graph.Edge
 	// Tuples is D(tp): the defender's support tuples.
 	Tuples []game.Tuple
+	// LPValue is the exact ν = 1 game value when the equilibrium came from
+	// the LP ("lp-minimax"); nil for the structured families.
+	LPValue *big.Rat
 }
 
 // DefenderGain returns the defender's expected profit IP_tp — the expected

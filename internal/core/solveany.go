@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/big"
 
 	"github.com/defender-game/defender/internal/game"
 	"github.com/defender-game/defender/internal/graph"
-	"github.com/defender-game/defender/internal/lp"
 	"github.com/defender-game/defender/internal/obs"
 )
 
@@ -81,37 +79,16 @@ func SolveAnyCtx(ctx context.Context, g *graph.Graph, attackers, k int) (ne Tupl
 	return ne, "lp-minimax", nil
 }
 
-// lpMinimaxNE builds the symmetric lift of the ν = 1 minimax pair.
+// lpMinimaxNE builds the symmetric lift of the ν = 1 minimax pair and
+// carries its exact value, so callers need not solve the LP again.
 func lpMinimaxNE(ctx context.Context, g *graph.Graph, attackers, k int) (TupleEquilibrium, error) {
 	gm, err := game.New(g, attackers, k)
 	if err != nil {
 		return TupleEquilibrium{}, err
 	}
-	if !combinationsWithin(g.NumEdges(), k, valueTupleLimit) {
-		return TupleEquilibrium{}, fmt.Errorf("%w: C(%d,%d)", ErrValueTooLarge, g.NumEdges(), k)
-	}
-	tuples := EnumerateTuples(g, k)
-	zero := new(big.Rat)
-	one := big.NewRat(1, 1)
-	payoff := make([][]*big.Rat, len(tuples))
-	for i, t := range tuples {
-		row := make([]*big.Rat, g.NumVertices())
-		covered := make([]bool, g.NumVertices())
-		for _, v := range t.Vertices(g) {
-			covered[v] = true
-		}
-		for v := range row {
-			if covered[v] {
-				row[v] = one
-			} else {
-				row[v] = zero
-			}
-		}
-		payoff[i] = row
-	}
-	gs, err := lp.SolveZeroSumCtx(ctx, payoff)
+	tuples, gs, err := solveTupleGame(ctx, g, k)
 	if err != nil {
-		return TupleEquilibrium{}, fmt.Errorf("core: lp minimax NE: %w", err)
+		return TupleEquilibrium{}, err
 	}
 	ts, err := game.NewTupleStrategy(tuples, gs.Row)
 	if err != nil {
@@ -137,5 +114,6 @@ func lpMinimaxNE(ctx context.Context, g *graph.Graph, attackers, k int) (TupleEq
 		VPSupport:   profile.SupportUnionVP(),
 		EdgeSupport: edges,
 		Tuples:      profile.TP.Support(),
+		LPValue:     gs.Value,
 	}, nil
 }

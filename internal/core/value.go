@@ -55,36 +55,33 @@ func GameValueCtx(ctx context.Context, g *graph.Graph, k int) (*big.Rat, []game.
 	if k < 1 || k > g.NumEdges() {
 		return nil, nil, nil, fmt.Errorf("%w: k=%d, m=%d", game.ErrBadK, k, g.NumEdges())
 	}
+	tuples, gs, err := solveTupleGame(ctx, g, k)
+	return gs.Value, tuples, gs.Row, err
+}
+
+// solveTupleGame solves the ν = 1 game by LP over all C(m, k) tuples
+// (ErrValueTooLarge past the budget): payoff 1 to the defender when the
+// tuple covers the attacker's vertex. A cancelled ctx stops the LP.
+func solveTupleGame(ctx context.Context, g *graph.Graph, k int) ([]game.Tuple, lp.GameSolution, error) {
 	if !combinationsWithin(g.NumEdges(), k, valueTupleLimit) {
-		return nil, nil, nil, fmt.Errorf("%w: C(%d,%d)", ErrValueTooLarge, g.NumEdges(), k)
+		return nil, lp.GameSolution{}, fmt.Errorf("%w: C(%d,%d)", ErrValueTooLarge, g.NumEdges(), k)
 	}
 	tuples := EnumerateTuples(g, k)
-
-	// Payoff to the defender (row player, maximizer): 1 if the tuple
-	// covers the attacker's vertex.
-	zero := new(big.Rat)
-	one := big.NewRat(1, 1)
+	n := g.NumVertices()
+	zero, one := new(big.Rat), big.NewRat(1, 1)
+	cells := make([]*big.Rat, len(tuples)*n)
+	for i := range cells {
+		cells[i] = zero
+	}
 	payoff := make([][]*big.Rat, len(tuples))
 	for i, t := range tuples {
-		row := make([]*big.Rat, g.NumVertices())
-		covered := make([]bool, g.NumVertices())
+		payoff[i] = cells[i*n : (i+1)*n]
 		for _, v := range t.Vertices(g) {
-			covered[v] = true
+			payoff[i][v] = one
 		}
-		for v := range row {
-			if covered[v] {
-				row[v] = one
-			} else {
-				row[v] = zero
-			}
-		}
-		payoff[i] = row
 	}
 	gs, err := lp.SolveZeroSumCtx(ctx, payoff)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: game value: %w", err)
-	}
-	return gs.Value, tuples, gs.Row, nil
+	return tuples, gs, err
 }
 
 // EnumerateTuples lists every k-subset of g's edges as a Tuple, in
@@ -113,19 +110,4 @@ func EnumerateTuples(g *graph.Graph, k int) []game.Tuple {
 	}
 	rec(0, 0)
 	return out
-}
-
-// DefenderStrategyFromValue assembles the LP oracle's optimal defender
-// strategy into a validated game.TupleStrategy (dropping zero-probability
-// tuples).
-func DefenderStrategyFromValue(g *graph.Graph, k int) (*big.Rat, game.TupleStrategy, error) {
-	value, tuples, probs, err := GameValue(g, k)
-	if err != nil {
-		return nil, game.TupleStrategy{}, err
-	}
-	ts, err := game.NewTupleStrategy(tuples, probs)
-	if err != nil {
-		return nil, game.TupleStrategy{}, err
-	}
-	return value, ts, nil
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/big"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/defender-game/defender/internal/game"
 	"github.com/defender-game/defender/internal/graph"
@@ -134,12 +137,16 @@ func TestGameValueIncreasingInK(t *testing.T) {
 	}
 }
 
-// TestDefenderStrategyFromValueIsEquilibrium: the oracle's defender
-// strategy, paired with an attacker best response, verifies as an exact NE
-// via the Theorem 3.4 machinery.
-func TestDefenderStrategyFromValueIsEquilibrium(t *testing.T) {
+// TestGameValueStrategyIsEquilibrium: the oracle's defender strategy,
+// paired with an attacker best response, verifies as an exact NE via the
+// Theorem 3.4 machinery.
+func TestGameValueStrategyIsEquilibrium(t *testing.T) {
 	g := graph.Cycle(5) // no k-matching NE exists; LP finds the NE anyway
-	value, ts, err := DefenderStrategyFromValue(g, 1)
+	value, tuples, probs, err := GameValue(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := game.NewTupleStrategy(tuples, probs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +212,43 @@ func TestEnumerateTuples(t *testing.T) {
 			t.Fatalf("duplicate tuple %v", tp)
 		}
 		seen[tp.Key()] = true
+	}
+}
+
+// TestGameValueCtxCancelled: the LP oracle observes ctx at every simplex
+// pivot. On C31 at k = 3 (4,495 tuples, about 0.7 s and 1,084 pivots
+// uncancelled) a cancelled context returns context.Canceled — through
+// GameValueCtx and through SolveAnyCtx's lp-minimax fallback — within
+// half a second of the cancel.
+func TestGameValueCtxCancelled(t *testing.T) {
+	const bound = 500 * time.Millisecond
+	g := graph.Cycle(31)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if _, _, _, err := GameValueCtx(ctx, g, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("GameValueCtx: err = %v, want context.Canceled", err)
+	}
+	if _, _, err := SolveAnyCtx(ctx, g, 2, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveAnyCtx: err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 2*bound {
+		t.Errorf("pre-cancelled solves took %v", d)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	var cancelledAt atomic.Int64
+	time.AfterFunc(20*time.Millisecond, func() {
+		cancelledAt.Store(time.Now().UnixNano())
+		cancel()
+	})
+	_, _, _, err := GameValueCtx(ctx, g, 3)
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-solve cancel: err = %v, want context.Canceled", err)
+	}
+	if d := returned.Sub(time.Unix(0, cancelledAt.Load())); d > bound {
+		t.Errorf("GameValueCtx returned %v after the cancel, bound %v", d, bound)
 	}
 }

@@ -6,18 +6,21 @@
 // the payoff matrix alone, with no knowledge of matching structure. The
 // experiments cross-check k/|EC| against this oracle.
 //
-// The solver is a dense tableau simplex with Bland's anti-cycling rule
+// The solver is a revised simplex with Bland's anti-cycling rule
 // (guaranteeing termination) and a single-artificial-variable phase one,
-// exact at every pivot — no floating point anywhere. The public surface
-// speaks *big.Rat, but the tableau itself runs on the internal/rat
-// small-rational kernel: cells are int64 fractions that promote to
-// big.Rat only on overflow, and the pivot loops reuse per-tableau scratch
-// values instead of allocating per cell (see DESIGN.md "Exact arithmetic
-// fast path"). It is meant for the small, structured programs arising
-// from games — hundreds of rows and columns — not for industrial LPs.
+// exact at every pivot — no floating point anywhere. It keeps the basis
+// inverse B⁻¹, the basic solution β and the multipliers y, reads the
+// constraint matrix as sparse columns and prices them only up to the
+// first improving one, so a pivot costs Θ(m²) plus that pricing — and it
+// takes exactly the pivots of a dense Bland tableau, which the tests keep
+// as the differential oracle. Values run on the internal/rat kernel:
+// int64 fractions that promote to big.Rat only on overflow (DESIGN.md
+// "Exact arithmetic fast path"). It is meant for the small, structured
+// programs arising from games, not for industrial LPs.
 package lp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -27,9 +30,9 @@ import (
 )
 
 // Simplex iteration metrics (catalogued in OBSERVABILITY.md): total solves
-// and Gauss–Jordan pivots across both phases, plus the per-solve pivot
+// and basis-change pivots across both phases, plus the per-solve pivot
 // distribution. Pivot counts are the honest cost unit of the exact solver
-// (each pivot is a full tableau sweep of rational arithmetic), so a p99
+// (each pivot is a Θ(m²) basis-inverse update plus pricing), so a p99
 // blowup here — not wall time — is the first sign of a degenerate program.
 var (
 	obsSimplexSolves         = obs.Default().Counter("lp.simplex.solves")
@@ -87,296 +90,334 @@ type Solution struct {
 // exactly. b may have negative entries; a phase-one start is used when
 // needed. Inputs are not mutated.
 func Maximize(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) (Solution, error) {
-	n := len(c)
-	m := len(a)
-	if len(b) != m {
-		return Solution{}, fmt.Errorf("%w: %d constraint rows but %d bounds", ErrBadProgram, m, len(b))
-	}
-	for i, row := range a {
-		if len(row) != n {
-			return Solution{}, fmt.Errorf("%w: row %d has %d coefficients, want %d", ErrBadProgram, i, len(row), n)
-		}
-	}
-	t, err := newTableau(c, a, b)
+	p, err := newProgram(c, a, b)
 	if err != nil {
 		return Solution{}, err
 	}
-	obsSimplexSolves.Inc()
-	defer func() { obsSimplexPivotsPerSolve.Observe(float64(t.pivots)) }()
-	if t.needsPhaseOne() && t.phaseOne() == Infeasible {
-		return Solution{Status: Infeasible}, nil
-	}
-	if t.optimize() == Unbounded {
-		return Solution{Status: Unbounded}, nil
-	}
-	return t.extract(), nil
+	s, err := p.solve(context.Background()) // never cancelled
+	return s.solution(), err
 }
 
-// Minimize solves min c·x s.t. Ax <= b, x >= 0 by negating the objective.
-func Minimize(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) (Solution, error) {
-	neg := make([]*big.Rat, len(c))
-	for j, cj := range c {
-		if cj == nil {
-			return Solution{}, fmt.Errorf("%w: nil objective coefficient %d", ErrBadProgram, j)
-		}
-		neg[j] = new(big.Rat).Neg(cj) // lint:invariant(ratraw): each negated coefficient escapes into the program
-	}
-	sol, err := Maximize(neg, a, b)
-	if err != nil || sol.Status != Optimal {
-		return sol, err
-	}
-	sol.Value = new(big.Rat).Neg(sol.Value)
-	for i := range sol.Dual {
-		sol.Dual[i] = new(big.Rat).Neg(sol.Dual[i]) // lint:invariant(ratraw): each negated dual escapes into the solution
-	}
-	return sol, nil
-}
-
-// tableau is the dense simplex tableau:
-//
-//	columns: [ x_0..x_{n-1} | s_0..s_{m-1} | a0 | rhs ]
-//	rows:    m constraint rows, then the objective row.
-//
-// Column n+m is the single artificial variable used by phase one; it is
-// never allowed to re-enter during phase two (its reduced cost is kept
-// positive). basis[i] is the variable index basic in row i.
-//
-// Cells are internal/rat small rationals: pivots run allocation-free on
-// int64 fractions while every entry fits, and any cell that overflows
-// promotes to big.Rat transparently without losing exactness.
-type tableau struct {
-	n, m  int
-	cells []rat.Vec
-	basis []int
-	objC  rat.Vec // original objective, used to rebuild after phase one
-	// pivots counts Gauss–Jordan pivots across both phases, feeding the
-	// lp.simplex.* metrics.
-	pivots int
-	// Scratch values reused across every pivot and ratio test so the hot
-	// loops perform zero allocations on the small-rational path.
-	factor, prod, inv, ratio, best rat.Rat
-}
-
-func (t *tableau) width() int { return t.n + t.m + 2 }
-func (t *tableau) art() int   { return t.n + t.m }
-func (t *tableau) rhs() int   { return t.n + t.m + 1 }
-
-func newTableau(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) (*tableau, error) {
+// newProgram validates a dense program and reads its nonzeros into
+// sparse columns.
+func newProgram(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) (*program, error) {
 	n, m := len(c), len(a)
-	t := &tableau{n: n, m: m, basis: make([]int, m), objC: rat.NewVec(n)}
+	if len(b) != m {
+		return nil, fmt.Errorf("%w: %d constraint rows but %d bounds", ErrBadProgram, m, len(b))
+	}
 	for j, cj := range c {
 		if cj == nil {
 			return nil, fmt.Errorf("%w: nil objective coefficient %d", ErrBadProgram, j)
 		}
-		t.objC[j].SetBig(cj)
 	}
-	t.cells = make([]rat.Vec, m+1)
-	for i := 0; i <= m; i++ {
-		t.cells[i] = rat.NewVec(t.width())
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			if a[i][j] == nil {
+	for i, row := range a {
+		if len(row) != n {
+			return nil, fmt.Errorf("%w: row %d has %d coefficients, want %d", ErrBadProgram, i, len(row), n)
+		}
+		for j, e := range row {
+			if e == nil {
 				return nil, fmt.Errorf("%w: nil coefficient at (%d,%d)", ErrBadProgram, i, j)
 			}
-			t.cells[i][j].SetBig(a[i][j])
 		}
-		t.cells[i][n+i].SetInt64(1)      // slack
-		t.cells[i][t.art()].SetInt64(-1) // artificial column
 		if b[i] == nil {
 			return nil, fmt.Errorf("%w: nil bound %d", ErrBadProgram, i)
 		}
-		t.cells[i][t.rhs()].SetBig(b[i])
-		t.basis[i] = n + i
 	}
-	t.loadObjective()
-	return t, nil
+	p := sparseProgram(m, n, func(e *rat.Rat, i, j int) { e.SetBig(a[i][j]) })
+	p.c, p.b = rat.FromBig(c), rat.FromBig(b)
+	return p, nil
 }
 
-// loadObjective writes the phase-two objective into the bottom row as
-// negated coefficients (negative entry = improving column) and prices out
-// the current basis. The artificial column gets a prohibitively positive
-// reduced cost so phase two never re-admits it.
-func (t *tableau) loadObjective() {
-	obj := t.cells[t.m]
-	obj.Zero()
-	for j := 0; j < t.n; j++ {
-		obj[j].Neg(&t.objC[j])
-	}
-	obj[t.art()].SetInt64(1)
-	t.priceOutBasis()
+// program is  max c·x  s.t.  (A + shift·J) x <= b, x >= 0  with J the
+// all-ones matrix and A in sparse columns: column j's nonzeros are
+// rows/vals[colPtr[j]:colPtr[j+1]]. Only the zero-sum reduction sets a
+// shift, and there b = 1, so B⁻¹(shift·1) = shift·β.
+type program struct {
+	m, n   int
+	colPtr []int
+	rows   []int
+	vals   rat.Vec
+	shift  rat.Rat
+	c, b   rat.Vec
 }
 
-// loadPhaseOneObjective sets the objective to "maximize −a0".
-func (t *tableau) loadPhaseOneObjective() {
-	obj := t.cells[t.m]
-	obj.Zero()
-	obj[t.art()].SetInt64(1)
-	t.priceOutBasis()
-}
-
-// priceOutBasis eliminates basic-variable coefficients from the objective
-// row so reduced costs are consistent with the current basis.
-func (t *tableau) priceOutBasis() {
-	obj := t.cells[t.m]
-	for i := 0; i < t.m; i++ {
-		bj := t.basis[i]
-		if obj[bj].Sign() == 0 {
-			continue
-		}
-		t.factor.Set(&obj[bj])
-		row := t.cells[i]
-		for j := range obj {
-			if row[j].Sign() != 0 {
-				t.prod.Mul(&t.factor, &row[j])
-				obj[j].Sub(&obj[j], &t.prod)
+// sparseProgram reads the nonzeros of an m×n matrix, column by column,
+// through at (which sets e to entry (i, j)). c and b are left to the
+// caller.
+func sparseProgram(m, n int, at func(e *rat.Rat, i, j int)) *program {
+	p := &program{m: m, n: n, colPtr: make([]int, n+1)}
+	var e rat.Rat
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			if at(&e, i, j); e.Sign() != 0 {
+				p.rows = append(p.rows, i)
+				p.vals = append(p.vals, e)
 			}
 		}
+		p.colPtr[j+1] = len(p.rows)
 	}
+	return p
 }
 
-// needsPhaseOne reports whether any right-hand side is negative.
-func (t *tableau) needsPhaseOne() bool {
-	for i := 0; i < t.m; i++ {
-		if t.cells[i][t.rhs()].Sign() < 0 {
-			return true
-		}
-	}
-	return false
+// solver is the revised-simplex state over the variables [x | slacks |
+// a0], where the phase-one artificial a0 has column −1. basis[i] is the
+// variable basic in row i, tab is [B⁻¹ | β] (m×(m+1), row-major), and
+// y = d_B·B⁻¹ for the costs d: −c on x in phase two, 0 in phase one and
+// on the slacks, +1 on a0. Column j's reduced cost r_j = d_j − y·M_j is
+// what a dense tableau keeps in its objective row.
+type solver struct {
+	p      *program
+	tab    rat.Vec
+	y, d   rat.Vec
+	alpha  rat.Vec // B⁻¹M_q of the column being brought in
+	basis  []int
+	status Status
+	pivots int // basis changes across both phases (lp.simplex.*)
+	// Scratch values: the hot loops allocate nothing on the small path.
+	sy, dot, rc, f, prod, ratio, best rat.Rat
 }
 
-// phaseOne makes the basis feasible with the single-artificial-variable
-// method: pivot a0 into the most-violated row (making all rhs
-// nonnegative), then minimize a0 with Bland's rule. Feasible iff a0
-// returns to zero; a0 is then driven out of the basis and banned.
-func (t *tableau) phaseOne() Status {
-	// Most negative rhs row.
-	worst := 0
-	for i := 1; i < t.m; i++ {
-		if t.cells[i][t.rhs()].Cmp(&t.cells[worst][t.rhs()]) < 0 {
+func (s *solver) art() int { return s.p.n + s.p.m }
+
+// row returns row i of [B⁻¹ | β]; its last entry is β_i.
+func (s *solver) row(i int) rat.Vec { w := s.p.m + 1; return s.tab[i*w : (i+1)*w] }
+
+// solve runs both phases. ctx is observed once per pivot; a cancelled
+// solve returns ctx.Err().
+func (p *program) solve(ctx context.Context) (*solver, error) {
+	m := p.m
+	s := &solver{
+		p: p, tab: rat.NewVec(m * (m + 1)), y: rat.NewVec(m),
+		d: rat.NewVec(p.n + m + 1), alpha: rat.NewVec(m), basis: make([]int, m),
+	}
+	worst := -1
+	for i := 0; i < m; i++ {
+		s.row(i)[i].SetInt64(1)
+		s.row(i)[m].Set(&p.b[i])
+		s.basis[i] = p.n + i
+		if p.b[i].Sign() < 0 && (worst == -1 || p.b[i].Cmp(&p.b[worst]) < 0) {
 			worst = i
 		}
 	}
-	t.pivot(worst, t.art())
-	t.loadPhaseOneObjective()
-	if t.optimize() == Unbounded {
-		// Cannot happen: the phase-one objective −a0 is bounded by 0.
-		return Infeasible
+	s.d[s.art()].SetInt64(1)
+	s.loadObjective(false)
+	obsSimplexSolves.Inc()
+	defer func() { obsSimplexPivotsPerSolve.Observe(float64(s.pivots)) }()
+	if worst >= 0 {
+		st, err := s.runPhaseOne(ctx, worst)
+		if err != nil || st == Infeasible {
+			s.status = st
+			return s, err
+		}
 	}
-	// a0's optimal value: locate it in the basis.
-	for i, bj := range t.basis {
-		if bj != t.art() {
+	var err error
+	s.status, err = s.optimize(ctx)
+	return s, err
+}
+
+// loadObjective sets the phase's structural costs and recomputes
+// y = d_B·B⁻¹.
+func (s *solver) loadObjective(phaseOne bool) {
+	for j := 0; j < s.p.n; j++ {
+		if phaseOne {
+			s.d[j].SetInt64(0)
+		} else {
+			s.d[j].Neg(&s.p.c[j])
+		}
+	}
+	s.y.Zero()
+	for i, v := range s.basis {
+		s.axpy(s.y, &s.d[v], s.row(i)[:s.p.m])
+	}
+}
+
+// runPhaseOne makes the basis feasible: pivot a0 into the most-violated
+// row (making β nonnegative), then minimize a0 with Bland's rule.
+// Feasible iff a0 returns to zero; it is then driven out of the basis.
+func (s *solver) runPhaseOne(ctx context.Context, worst int) (Status, error) {
+	s.column(s.art())
+	s.pivot(worst, s.art())
+	s.loadObjective(true)
+	// Unbounded cannot happen: the phase-one objective −a0 is <= 0.
+	if st, err := s.optimize(ctx); err != nil || st == Unbounded {
+		return Infeasible, err
+	}
+	for i, v := range s.basis {
+		if v != s.art() {
 			continue
 		}
-		if t.cells[i][t.rhs()].Sign() != 0 {
-			return Infeasible
+		if s.row(i)[s.p.m].Sign() != 0 {
+			return Infeasible, nil
 		}
-		// Degenerate: a0 basic at zero. Pivot it out through any nonzero
-		// structural/slack coefficient; a fully zero row is redundant and
-		// may keep the harmless zero-valued artificial.
-		for j := 0; j < t.n+t.m; j++ {
-			if t.cells[i][j].Sign() != 0 {
-				t.pivot(i, j)
+		// Degenerate: a0 basic at zero. Pivot it out through the first
+		// structural or slack column with a nonzero entry in its row; a
+		// fully zero row is redundant and keeps the zero-valued a0.
+		for j := 0; j < s.art(); j++ {
+			if s.column(j); s.alpha[i].Sign() != 0 {
+				s.pivot(i, j)
 				break
 			}
 		}
 		break
 	}
-	t.loadObjective()
-	return Optimal
+	s.loadObjective(false)
+	return Optimal, nil
 }
 
-// optimize runs simplex with Bland's rule from a feasible basis.
-func (t *tableau) optimize() Status {
-	obj := t.cells[t.m]
+// optimize runs Bland's rule from a feasible basis: the entering column
+// is the lowest-index one with a negative reduced cost (a0 never
+// enters), the leaving row the minimum ratio with ties to the lowest
+// basic variable index.
+func (s *solver) optimize(ctx context.Context) (Status, error) {
+	m := s.p.m
 	for {
-		// Entering variable: lowest index with negative reduced cost. The
-		// artificial column may never (re-)enter: in phase one it starts
-		// basic and only leaves; in phase two it must stay at zero.
-		pc := -1
-		for j := 0; j < t.art(); j++ {
-			if obj[j].Sign() < 0 {
-				pc = j
-				break
-			}
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
-		if pc == -1 {
-			return Optimal
+		q := s.price()
+		if q == -1 {
+			return Optimal, nil
 		}
-		// Leaving variable: minimum ratio, ties by lowest basis index.
+		s.column(q)
 		pr := -1
-		for i := 0; i < t.m; i++ {
-			if t.cells[i][pc].Sign() <= 0 {
+		for i := 0; i < m; i++ {
+			if s.alpha[i].Sign() <= 0 {
 				continue
 			}
-			t.ratio.Quo(&t.cells[i][t.rhs()], &t.cells[i][pc])
-			if pr == -1 {
-				pr = i
-				t.best.Set(&t.ratio)
-				continue
+			s.ratio.Quo(&s.row(i)[m], &s.alpha[i])
+			c := 0
+			if pr != -1 {
+				c = s.ratio.Cmp(&s.best)
 			}
-			if c := t.ratio.Cmp(&t.best); c < 0 || (c == 0 && t.basis[i] < t.basis[pr]) {
+			if pr == -1 || c < 0 || (c == 0 && s.basis[i] < s.basis[pr]) {
 				pr = i
-				t.best.Set(&t.ratio)
+				s.best.Set(&s.ratio)
 			}
 		}
 		if pr == -1 {
-			return Unbounded
+			return Unbounded, nil
 		}
-		t.pivot(pr, pc)
+		s.pivot(pr, q)
+		// The objective row loses r_q times the new pivot row; on the
+		// slack columns it reads −y, so y gains r_q·B⁻¹[pr].
+		s.axpy(s.y, &s.rc, s.row(pr)[:m])
 	}
 }
 
-// pivot performs a Gauss–Jordan pivot on (pr, pc) and updates the basis.
-// The sweep is in place over the rat cells with reused scratch values —
-// no per-cell allocation while the tableau stays in int64 range.
-func (t *tableau) pivot(pr, pc int) {
-	t.pivots++
-	obsSimplexPivots.Inc()
-	prow := t.cells[pr]
-	t.inv.Inv(&prow[pc])
-	for j := range prow {
-		if prow[j].Sign() != 0 {
-			prow[j].Mul(&prow[j], &t.inv)
+// price returns the lowest-index structural or slack column with a
+// negative reduced cost, leaving that cost in s.rc, or -1 at optimality.
+// Columns past the first improving one are never priced.
+func (s *solver) price() int {
+	p := s.p
+	s.y.Sum(&s.sy)
+	s.sy.Mul(&s.sy, &p.shift)
+	for j := 0; j < p.n; j++ {
+		// rc = d_j − (y·A_j + shift·Σy).
+		s.dot.Set(&s.sy)
+		for k := p.colPtr[j]; k < p.colPtr[j+1]; k++ {
+			s.addProd(&s.dot, &s.y[p.rows[k]], &p.vals[k])
+		}
+		if s.rc.Sub(&s.d[j], &s.dot); s.rc.Sign() < 0 {
+			return j
 		}
 	}
-	for i := 0; i <= t.m; i++ {
-		if i == pr {
-			continue
+	for i := 0; i < p.m; i++ {
+		// A slack costs 0 and has column e_i, so r = −y_i.
+		if s.y[i].Sign() > 0 {
+			s.rc.Neg(&s.y[i])
+			return p.n + i
 		}
-		row := t.cells[i]
-		if row[pc].Sign() == 0 {
-			continue
+	}
+	return -1
+}
+
+// addProd sets z += x·v. The multiply is skipped when either factor is
+// 0 or v is ±1 — the only coefficients of the tuple-coverage games — so
+// pricing and column updates mostly cost one rational addition per entry.
+func (s *solver) addProd(z, x, v *rat.Rat) {
+	if x.Sign() == 0 || v.Sign() == 0 {
+		return
+	}
+	if n, d, ok := v.Frac64(); ok && d == 1 && (n == 1 || n == -1) {
+		if n == 1 {
+			z.Add(z, x)
+		} else {
+			z.Sub(z, x)
 		}
-		t.factor.Set(&row[pc])
-		for j := range row {
-			if prow[j].Sign() != 0 {
-				t.prod.Mul(&t.factor, &prow[j])
-				row[j].Sub(&row[j], &t.prod)
+		return
+	}
+	s.prod.Mul(x, v)
+	z.Add(z, &s.prod)
+}
+
+// axpy sets dst += f·src entrywise.
+func (s *solver) axpy(dst rat.Vec, f *rat.Rat, src rat.Vec) {
+	for l := range src {
+		s.addProd(&dst[l], &src[l], f)
+	}
+}
+
+// column sets s.alpha = B⁻¹M_q for variable q.
+func (s *solver) column(q int) {
+	p, m := s.p, s.p.m
+	for i := 0; i < m; i++ {
+		a, row := &s.alpha[i], s.row(i)
+		switch {
+		case q < p.n:
+			a.SetInt64(0)
+			for k := p.colPtr[q]; k < p.colPtr[q+1]; k++ {
+				s.addProd(a, &row[p.rows[k]], &p.vals[k])
 			}
+			s.addProd(a, &row[m], &p.shift)
+		case q < s.art():
+			a.Set(&row[q-p.n])
+		default:
+			// a0's column is −1: minus the row sum of B⁻¹.
+			row[:m].Sum(a)
+			a.Neg(a)
 		}
 	}
-	t.basis[pr] = pc
 }
 
-// extract reads the optimal solution, objective value and duals.
-func (t *tableau) extract() Solution {
-	x := rat.NewVec(t.n)
-	for i, bj := range t.basis {
-		if bj < t.n {
-			x[bj].Set(&t.cells[i][t.rhs()])
+// pivot brings variable q (whose column s.alpha holds) into the basis at
+// row pr by one Gauss–Jordan step on [B⁻¹ | β].
+func (s *solver) pivot(pr, q int) {
+	s.pivots++
+	obsSimplexPivots.Inc()
+	prow := s.row(pr)
+	s.f.Inv(&s.alpha[pr])
+	for l := range prow {
+		prow[l].Mul(&prow[l], &s.f)
+	}
+	for i := range s.basis {
+		if i != pr && s.alpha[i].Sign() != 0 {
+			s.f.Neg(&s.alpha[i])
+			s.axpy(s.row(i), &s.f, prow)
 		}
 	}
-	var value, prod rat.Rat
-	for j := 0; j < t.n; j++ {
-		prod.Mul(&t.objC[j], &x[j])
-		value.Add(&value, &prod)
+	s.basis[pr] = q
+}
+
+// solution reads the outcome: the status, and at an optimum x from β, the
+// objective value and the duals, which are the slack reduced costs −y.
+func (s *solver) solution() Solution {
+	p := s.p
+	if s.status != Optimal {
+		return Solution{Status: s.status}
 	}
-	// Duals: reduced costs of the slack columns at optimum.
-	dual := make([]*big.Rat, t.m)
-	obj := t.cells[t.m]
-	for i := 0; i < t.m; i++ {
-		dual[i] = obj[t.n+i].Big()
+	x := rat.NewVec(p.n)
+	for i, v := range s.basis {
+		if v < p.n {
+			x[v].Set(&s.row(i)[p.m])
+		}
+	}
+	var value rat.Rat
+	for j := range x {
+		s.addProd(&value, &x[j], &p.c[j])
+	}
+	dual := make([]*big.Rat, p.m)
+	for i := range dual {
+		dual[i] = s.prod.Neg(&s.y[i]).Big()
 	}
 	return Solution{Status: Optimal, Value: value.Big(), X: x.ToBig(), Dual: dual}
 }

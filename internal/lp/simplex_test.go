@@ -24,18 +24,6 @@ func maxOptimal(t *testing.T, c []*big.Rat, a [][]*big.Rat, b []*big.Rat) Soluti
 	return sol
 }
 
-func minOptimal(t *testing.T, c []*big.Rat, a [][]*big.Rat, b []*big.Rat) Solution {
-	t.Helper()
-	sol, err := Minimize(c, a, b)
-	if err != nil {
-		t.Fatalf("solve: %v", err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", sol.Status)
-	}
-	return sol
-}
-
 func TestMaximizeTextbook(t *testing.T) {
 	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6), 36.
 	sol := maxOptimal(t,
@@ -132,18 +120,6 @@ func TestMaximizePhaseOneEquality(t *testing.T) {
 	}
 	if sol.X[0].Cmp(ri(1)) != 0 || sol.X[1].Sign() != 0 {
 		t.Errorf("x = %v, want (1,0)", sol.X)
-	}
-}
-
-func TestMinimize(t *testing.T) {
-	// min x + y s.t. x + y >= 2 (as -x-y <= -2), x,y >= 0 -> 2.
-	sol := minOptimal(t,
-		[]*big.Rat{ri(1), ri(1)},
-		[][]*big.Rat{{ri(-1), ri(-1)}},
-		[]*big.Rat{ri(-2)},
-	)
-	if sol.Value.Cmp(ri(2)) != 0 {
-		t.Errorf("value = %v, want 2", sol.Value)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"github.com/defender-game/defender/internal/obs"
+	"github.com/defender-game/defender/internal/rat"
 )
 
 // GameSolution is an exact minimax solution of a two-player zero-sum
@@ -38,110 +39,103 @@ func SolveZeroSum(m [][]*big.Rat) (GameSolution, error) {
 	return SolveZeroSumCtx(context.Background(), m)
 }
 
-// SolveZeroSumCtx is SolveZeroSum under ctx's trace: the whole solve —
-// reduction, simplex, strategy extraction, including the transposed
-// recursion — is timed as one "lp.simplex" span (histogram
-// lp.simplex.seconds), so a request waterfall shows how much of a solve
-// was exact pivoting. The LP itself is not interruptible; ctx only
-// correlates.
+// SolveZeroSumCtx is SolveZeroSum under ctx: the whole solve —
+// reduction, simplex, strategy extraction — is timed as one "lp.simplex"
+// span (histogram lp.simplex.seconds), so a request waterfall shows how
+// much of a solve was exact pivoting. The simplex observes ctx once per
+// pivot and returns ctx.Err() when it is cancelled or past its deadline.
 func SolveZeroSumCtx(ctx context.Context, m [][]*big.Rat) (GameSolution, error) {
 	sp, _ := obs.Default().StartSpanCtx(ctx, "lp.simplex")
 	sp.Annotate("rows", strconv.Itoa(len(m)))
 	defer sp.End()
-	return solveZeroSum(m)
-}
-
-func solveZeroSum(m [][]*big.Rat) (GameSolution, error) {
-	rows := len(m)
-	if rows == 0 {
-		return GameSolution{}, fmt.Errorf("%w: empty payoff matrix", ErrBadProgram)
-	}
-	cols := len(m[0])
-	if cols == 0 {
-		return GameSolution{}, fmt.Errorf("%w: empty payoff row", ErrBadProgram)
-	}
-	for i, row := range m {
-		if len(row) != cols {
-			return GameSolution{}, fmt.Errorf("%w: ragged payoff matrix at row %d", ErrBadProgram, i)
-		}
-		for j, e := range row {
-			if e == nil {
-				return GameSolution{}, fmt.Errorf("%w: nil payoff at (%d,%d)", ErrBadProgram, i, j)
-			}
-		}
-	}
-
-	// The reduction below uses the rows as LP constraints, so the tableau
-	// is Θ(rows · (rows + cols)). When the row side is the big one (e.g.
-	// C(m,k) defender tuples against n vertices), solve the transposed
-	// game instead: negating and transposing swaps the players, so
-	// value(M) = −value(−Mᵀ) with the strategies exchanged.
-	if rows > cols {
-		nt := make([][]*big.Rat, cols)
-		for j := 0; j < cols; j++ {
-			nt[j] = make([]*big.Rat, rows)
-			for i := 0; i < rows; i++ {
-				nt[j][i] = new(big.Rat).Neg(m[i][j]) // lint:invariant(ratraw): transposed matrix entries each need their own big.Rat
-			}
-		}
-		gs, err := solveZeroSum(nt)
-		if err != nil {
-			return GameSolution{}, err
-		}
-		return GameSolution{
-			Value: new(big.Rat).Neg(gs.Value),
-			Row:   gs.Col,
-			Col:   gs.Row,
-		}, nil
-	}
-
-	// Shift all payoffs to be >= 1 so the game value is strictly positive.
-	shift := new(big.Rat).Set(m[0][0])
-	for _, row := range m {
-		for _, e := range row {
-			if e.Cmp(shift) < 0 {
-				shift.Set(e)
-			}
-		}
-	}
-	one := big.NewRat(1, 1)
-	shift.Sub(one, shift) // s = 1 − min entry; M' = M + s >= 1
-
-	a := make([][]*big.Rat, rows)
-	for i := range a {
-		a[i] = make([]*big.Rat, cols)
-		for j := range a[i] {
-			a[i][j] = new(big.Rat).Add(m[i][j], shift) // lint:invariant(ratraw): shifted matrix entries each need their own big.Rat
-		}
-	}
-	c := make([]*big.Rat, cols)
-	for j := range c {
-		c[j] = big.NewRat(1, 1) // lint:invariant(ratraw): objective entries escape into the program; Maximize may mutate them
-	}
-	b := make([]*big.Rat, rows)
-	for i := range b {
-		b[i] = big.NewRat(1, 1) // lint:invariant(ratraw): constraint entries escape into the program; Maximize may mutate them
-	}
-
-	sol, err := Maximize(c, a, b)
+	p, transpose, err := zeroSumProgram(m)
 	if err != nil {
 		return GameSolution{}, err
 	}
+	// max Σu s.t. (M + s)u <= 1, u >= 0 has optimum 1/V' > 0 for the
+	// shifted value V'; u and the duals rescale to the strategies.
+	s, err := p.solve(ctx)
+	if err != nil {
+		return GameSolution{}, err
+	}
+	sol := s.solution()
 	if sol.Status != Optimal || sol.Value.Sign() <= 0 {
 		// Cannot happen for a finite positive matrix: the feasible region
 		// is a nonempty polytope with positive optimum.
 		return GameSolution{}, fmt.Errorf("lp: zero-sum reduction returned %v", sol.Status)
 	}
 	shiftedValue := new(big.Rat).Inv(sol.Value) // V' = 1/Σu
-
-	col := make([]*big.Rat, cols)
+	col := make([]*big.Rat, p.n)
 	for j := range col {
 		col[j] = new(big.Rat).Mul(sol.X[j], shiftedValue) // lint:invariant(ratraw): each strategy weight escapes into the returned solution
 	}
-	row := make([]*big.Rat, rows)
+	row := make([]*big.Rat, p.m)
 	for i := range row {
 		row[i] = new(big.Rat).Mul(sol.Dual[i], shiftedValue) // lint:invariant(ratraw): each strategy weight escapes into the returned solution
 	}
-	value := new(big.Rat).Sub(shiftedValue, shift)
+	value := new(big.Rat).Sub(shiftedValue, p.shift.Big())
+	if transpose {
+		return GameSolution{Value: value.Neg(value), Row: col, Col: row}, nil
+	}
 	return GameSolution{Value: value, Row: row, Col: col}, nil
+}
+
+// zeroSumProgram validates the payoff matrix and builds the LP of the
+// positive-shift reduction, transposed when the row side is the larger;
+// transpose reports which.
+func zeroSumProgram(m [][]*big.Rat) (*program, bool, error) {
+	rows := len(m)
+	if rows == 0 {
+		return nil, false, fmt.Errorf("%w: empty payoff matrix", ErrBadProgram)
+	}
+	cols := len(m[0])
+	if cols == 0 {
+		return nil, false, fmt.Errorf("%w: empty payoff row", ErrBadProgram)
+	}
+	for i, row := range m {
+		if len(row) != cols {
+			return nil, false, fmt.Errorf("%w: ragged payoff matrix at row %d", ErrBadProgram, i)
+		}
+		for j, e := range row {
+			if e == nil {
+				return nil, false, fmt.Errorf("%w: nil payoff at (%d,%d)", ErrBadProgram, i, j)
+			}
+		}
+	}
+
+	// The reduction uses the rows as LP constraints, so B⁻¹ is rows×rows.
+	// When the row side is the big one (e.g. C(m,k) defender tuples
+	// against n vertices), solve the transposed game instead: negating
+	// and transposing swaps the players, so value(M) = −value(−Mᵀ) with
+	// the strategies exchanged.
+	transpose := rows > cols
+	if transpose {
+		rows, cols = cols, rows
+	}
+	// One pass reads the nonzeros into sparse columns and finds the
+	// minimum entry; the shift s = 1 − min makes M + s >= 1 entrywise
+	// without ever materializing the shifted matrix.
+	var lo rat.Rat
+	p := sparseProgram(rows, cols, func(e *rat.Rat, i, j int) {
+		if transpose {
+			e.Neg(e.SetBig(m[j][i]))
+		} else {
+			e.SetBig(m[i][j])
+		}
+		if (i == 0 && j == 0) || e.Cmp(&lo) < 0 {
+			lo.Set(e)
+		}
+	})
+	p.c, p.b = ones(cols), ones(rows)
+	p.shift.SetInt64(1)
+	p.shift.Sub(&p.shift, &lo)
+	return p, transpose, nil
+}
+
+func ones(n int) rat.Vec {
+	v := rat.NewVec(n)
+	for i := range v {
+		v[i].SetInt64(1)
+	}
+	return v
 }

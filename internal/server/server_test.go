@@ -598,3 +598,67 @@ func stableGoroutines(t *testing.T) int {
 	}
 	return last
 }
+
+// cycleBody is a solve request for the cycle C_n at power k.
+func cycleBody(n, k int, extra string) string {
+	return fmt.Sprintf(`{"n":%d,"edges":[%s,[%d,0]],"k":%d%s}`, n, pathEdges(n), n-1, k, extra)
+}
+
+// TestLPMinimaxSolvesOneLP: an lp-minimax request reads its game value
+// off the equilibrium's LP instead of solving the same LP a second time.
+func TestLPMinimaxSolvesOneLP(t *testing.T) {
+	s := newTestServer(t)
+	var w *httptest.ResponseRecorder
+	d := counterDelta([]string{"lp.simplex.solves"}, func() {
+		w = do(s, http.MethodPost, "/v1/solve", cycleBody(5, 2, ""))
+	})
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	res := decodeSolve(t, w).Result
+	if res.MixedNE == nil || res.MixedNE.Family != "lp-minimax" {
+		t.Fatalf("C5 at k=2 must take the lp-minimax family: %+v", res.MixedNE)
+	}
+	if res.GameValue != "4/5" || res.GameValueSource != "lp" {
+		t.Errorf("game value %q from %q, want 4/5 from lp", res.GameValue, res.GameValueSource)
+	}
+	if d["lp.simplex.solves"] != 1 {
+		t.Errorf("lp.simplex.solves advanced by %d, want 1", d["lp.simplex.solves"])
+	}
+}
+
+// TestLPMinimaxDeadlineFreesWorker: the simplex observes the request's
+// deadline, so an lp-minimax solve that outlives it returns 504 at its
+// next pivot instead of running to completion on the broker's only
+// worker. C41 at k=3 (10,660 tuples) takes 2,465 pivots and over a
+// second to solve; the expired request must return within a second of
+// its 50 ms deadline, having taken fewer pivots, and the worker must then
+// serve the next request.
+func TestLPMinimaxDeadlineFreesWorker(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.Workers = 1 })
+	const fullPivots = 2465
+	var w *httptest.ResponseRecorder
+	start := time.Now()
+	d := counterDelta([]string{"lp.simplex.pivots", "broker.cancelled"}, func() {
+		w = do(s, http.MethodPost, "/v1/solve", cycleBody(41, 3, `,"timeout_ms":50`))
+	})
+	elapsed := time.Since(start)
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", w.Code, w.Body.String())
+	}
+	if eb := decodeError(t, w); eb.Error.Code != CodeTimeout {
+		t.Errorf("code %q", eb.Error.Code)
+	}
+	if elapsed > 50*time.Millisecond+time.Second {
+		t.Errorf("expired solve held its worker for %v", elapsed)
+	}
+	if d["lp.simplex.pivots"] >= fullPivots {
+		t.Errorf("expired solve ran %d pivots, the full solve takes %d", d["lp.simplex.pivots"], fullPivots)
+	}
+	if d["broker.cancelled"] != 1 {
+		t.Errorf("broker.cancelled advanced by %d, want 1", d["broker.cancelled"])
+	}
+	if w := do(s, http.MethodPost, "/v1/solve", `{"n":2,"edges":[[0,1]],"k":1}`); w.Code != http.StatusOK {
+		t.Errorf("next request on the freed worker: status %d: %s", w.Code, w.Body.String())
+	}
+}

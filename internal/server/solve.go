@@ -138,8 +138,10 @@ func solveErr(err error) *apiError {
 // pure-NE existence (Theorem 3.1), a verified mixed equilibrium
 // (core.SolveAny), and the exact ν=1 game value — by LP oracle when the
 // tuple space is enumerable, else by the structured equilibrium's closed
-// form (Claim 4.3). It runs on a broker worker; ctx is observed between
-// stages (the exact LP itself is not interruptible).
+// form (Claim 4.3). An lp-minimax equilibrium already carries the LP's
+// value, so that family solves one LP per request, not two. It runs on a
+// broker worker; ctx is observed between stages and at every simplex
+// pivot, so an expired request frees its worker.
 func solve(ctx context.Context, g *graph.Graph, g6 string, k, attackers int) (*SolveResult, error) {
 	res := &SolveResult{
 		Graph6:    g6,
@@ -172,7 +174,10 @@ func solve(ctx context.Context, g *graph.Graph, g6 string, k, attackers int) (*S
 		return nil, err
 	}
 
-	if value, _, _, err := core.GameValueCtx(ctx, g, k); err == nil {
+	if ne.LPValue != nil {
+		res.GameValue = ne.LPValue.RatString()
+		res.GameValueSource = "lp"
+	} else if value, _, _, err := core.GameValueCtx(ctx, g, k); err == nil {
 		res.GameValue = value.RatString()
 		res.GameValueSource = "lp"
 	} else if !errors.Is(err, core.ErrValueTooLarge) {
