@@ -70,24 +70,6 @@ func BenchmarkE16CompleteSolver(b *testing.B)  { benchExperiment(b, "E16") }
 
 // --- substrate micro-benchmarks ---
 
-func BenchmarkHopcroftKarp(b *testing.B) {
-	for _, n := range []int{100, 1000, 4000} {
-		g := graph.RandomBipartite(n/2, n/2, 8.0/float64(n), 1)
-		side, err := g.Bipartition()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := matching.HopcroftKarp(g, side); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkBlossom(b *testing.B) {
 	for _, n := range []int{100, 400, 1000} {
 		g := graph.RandomConnected(n, 6.0/float64(n), 1)
@@ -117,7 +99,7 @@ func BenchmarkMinimumEdgeCover(b *testing.B) {
 func BenchmarkAlgorithmA(b *testing.B) {
 	for _, n := range []int{64, 512, 2048} {
 		g := graph.Cycle(n)
-		p, err := cover.FindNEPartitionBipartite(g)
+		p, err := cover.FindNEPartition(g)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,6 +37,7 @@ import (
 	"github.com/defender-game/defender/internal/game"
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/gspec"
+	"github.com/defender-game/defender/internal/matching"
 	"github.com/defender-game/defender/internal/obs"
 	"github.com/defender-game/defender/internal/sim"
 )
@@ -177,13 +178,13 @@ func cmdInfo(g *graph.Graph) error {
 		fmt.Println("WARNING: graph has isolated vertices; the Tuple model is undefined on it")
 		return nil
 	}
-	rho, err := cover.EdgeCoverNumber(g)
-	if err != nil {
-		return err
-	}
+	// One maximum matching gives both ρ(G) = n − ν(G) (Gallai) and the
+	// Cor 4.11 partition.
+	mate := matching.Maximum(g)
+	rho := g.NumVertices() - matching.Size(mate)
 	fmt.Printf("edge-cover number ρ(G): %d  (pure NE exists iff k >= %d, Thm 3.1)\n", rho, rho)
 
-	p, err := cover.FindNEPartition(g)
+	p, err := cover.FindNEPartitionFromMatching(g, mate)
 	switch {
 	case err == nil:
 		fmt.Printf("k-matching NE: YES — partition |IS|=%d |VC|=%d (Cor 4.11)\n", len(p.IS), len(p.VC))

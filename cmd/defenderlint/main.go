@@ -148,6 +148,9 @@ func Lint(dir string, patterns []string, suite []*analysis.Analyzer, includeTest
 	}
 	module := analysis.NewModule(loader.Fset, loader.ModuleRoot)
 	module.IncludeTests = includeTests
+	if module.Complete, err = coversModule(dirs, loader.ModuleRoot); err != nil {
+		return nil, "", err
+	}
 	diags, err := analysis.RunModule(module, pkgs, suite)
 	if err != nil {
 		return nil, "", err
@@ -241,6 +244,33 @@ func reportFilter(suite []*analysis.Analyzer, only, skip string) (map[string]boo
 	default:
 		return known, nil
 	}
+}
+
+// coversModule reports whether dirs include every package directory of
+// the module rooted at root.
+func coversModule(dirs []string, root string) (bool, error) {
+	loaded := make(map[string]bool, len(dirs))
+	for _, d := range dirs {
+		abs, err := filepath.Abs(d)
+		if err != nil {
+			return false, err
+		}
+		loaded[abs] = true
+	}
+	all, err := analysis.PackageDirs(root)
+	if err != nil {
+		return false, err
+	}
+	for _, d := range all {
+		abs, err := filepath.Abs(d)
+		if err != nil {
+			return false, err
+		}
+		if !loaded[abs] {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // expand resolves package patterns to package directories.

@@ -142,9 +142,9 @@ func NewGame(g *Graph, attackers, k int) (*Game, error) {
 
 // Solve computes a k-matching mixed Nash equilibrium of Π_k(G) end to end:
 // it decides the (IS, VC) partition exactly (see FindPartition) and runs
-// Algorithm A_tuple.
-// For bipartite graphs this is the Theorem 5.1 pipeline with total cost
-// max{O(k·n), O(m√n)}.
+// Algorithm A_tuple. For bipartite graphs this is the Theorem 5.1
+// pipeline; the blossom matching it starts from makes it O(n³) here,
+// and the max{O(k·n), O(m√n)} bound belongs to the sparse CSR core.
 func Solve(g *Graph, attackers, k int) (TupleEquilibrium, error) {
 	return core.SolveTupleModel(g, attackers, k)
 }
@@ -163,8 +163,9 @@ func SolveWithPartition(g *Graph, attackers, k int, p Partition) (TupleEquilibri
 // FindPartition decides whether G has an independent-set/expander
 // partition — the Corollary 4.11 certificate that k-matching equilibria
 // exist — and returns it, or ErrNoPartition when none exists. The decision
-// is exact on every graph: König's theorem for bipartite graphs, a
-// König–Egerváry 2-SAT check on a maximum matching otherwise (O(n³)).
+// is exact on every graph and reads one blossom maximum matching (O(n³)):
+// König's vertex cover for bipartite graphs, a König–Egerváry 2-SAT check
+// otherwise.
 func FindPartition(g *Graph) (Partition, error) {
 	return cover.FindNEPartition(g)
 }
@@ -234,7 +235,7 @@ func Simulate(gm *Game, mp MixedProfile, rounds int, seed int64) (SimResult, err
 func MinimumEdgeCover(g *Graph) ([]Edge, error) { return cover.MinimumEdgeCover(g) }
 
 // MinimumVertexCoverBipartite computes a minimum vertex cover of a
-// bipartite graph via Hopcroft–Karp and König's theorem.
+// bipartite graph via König's theorem over the blossom maximum matching.
 func MinimumVertexCoverBipartite(g *Graph) ([]int, error) {
 	return cover.MinimumVertexCoverBipartite(g)
 }

@@ -61,6 +61,11 @@ type Module struct {
 	// IncludeTests records whether the driver loaded _test.go files into
 	// the run, for analyzers that want to report it in their messages.
 	IncludeTests bool
+	// Complete records that the run loaded every package of the module,
+	// so a Finish hook may treat "no package does X" as a fact
+	// (metricname's stale catalogue rows) rather than an artifact of a
+	// partial run.
+	Complete bool
 
 	state map[string]any
 }

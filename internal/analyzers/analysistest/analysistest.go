@@ -30,6 +30,10 @@ type expectation struct {
 
 var wantRx = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
+// mdWantRx is wantRx for markdown fixtures (a catalogue row a Finish hook
+// reports on), where the expectation is an HTML comment.
+var mdWantRx = regexp.MustCompile(`<!--\s*want\s+(.*?)\s*-->`)
+
 // Run loads the fixture package rooted at dir under the given import path,
 // applies the analyzer through the whole-module engine, and reports
 // mismatches through t. The import path matters for analyzers scoped by
@@ -53,6 +57,7 @@ func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 		t.Fatalf("analysistest: load %s: %v", dir, err)
 	}
 	module := analysis.NewModule(loader.Fset, dir)
+	module.Complete = true // the fixture package is the whole module
 	diags, err := analysis.RunModule(module, []*analysis.Package{pkg}, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analysistest: run %s: %v", a.Name, err)
@@ -87,7 +92,8 @@ func claim(expects []*expectation, d analysis.Diagnostic) bool {
 	return false
 }
 
-// parseExpectations scans every .go file under dir for // want comments.
+// parseExpectations scans every .go file under dir for // want comments
+// and every .md file for <!-- want ... --> comments.
 func parseExpectations(dir string) ([]*expectation, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -95,7 +101,15 @@ func parseExpectations(dir string) ([]*expectation, error) {
 	}
 	var out []*expectation
 	for _, entry := range entries {
-		if entry.IsDir() || !strings.HasSuffix(entry.Name(), ".go") {
+		var rx *regexp.Regexp
+		switch {
+		case entry.IsDir():
+			continue
+		case strings.HasSuffix(entry.Name(), ".go"):
+			rx = wantRx
+		case strings.HasSuffix(entry.Name(), ".md"):
+			rx = mdWantRx
+		default:
 			continue
 		}
 		path := filepath.Join(dir, entry.Name())
@@ -105,7 +119,7 @@ func parseExpectations(dir string) ([]*expectation, error) {
 		}
 		scanner := bufio.NewScanner(f)
 		for line := 1; scanner.Scan(); line++ {
-			m := wantRx.FindStringSubmatch(scanner.Text())
+			m := rx.FindStringSubmatch(scanner.Text())
 			if m == nil {
 				continue
 			}

@@ -20,6 +20,12 @@
 //     "`<package>.<what>`" cannot silently whitelist every two-segment
 //     name.
 //
+// The reverse holds too, so the catalogue cannot outlive the code: a
+// table row whose first cell is an exact (placeholder-free) name must
+// name something registered — a metric, a span, or a span's
+// "<span>.seconds" histogram. This check needs every package, so it runs
+// only when the run covers the whole module (analysis.Module.Complete).
+//
 // Ad-hoc registries built with obs.NewRegistry (tests, fixtures) and the
 // internal/obs implementation itself are out of scope; so are _test.go
 // files, whose throwaway names never reach the catalogue.
@@ -142,6 +148,23 @@ func finish(mp *analysis.ModulePass) error {
 			mp.Reportf(sites[0].pos, "metric %q is not in the %s catalogue; document it there", name, CatalogueFile)
 		}
 	}
+	if !mp.Module.Complete {
+		return nil
+	}
+	registered := make(map[string]bool, 2*len(st.names))
+	for name, sites := range st.names {
+		registered[name] = true
+		for _, s := range sites {
+			if s.kind == "StartSpan" || s.kind == "StartSpanCtx" {
+				registered[name+".seconds"] = true
+			}
+		}
+	}
+	for _, row := range catalogue.rows {
+		if !registered[row.name] {
+			mp.Reportf(row.pos, "catalogue row %q names no registered metric or span; delete the row or register the name", row.name)
+		}
+	}
 	return nil
 }
 
@@ -246,11 +269,23 @@ func isObsPkg(path string) bool {
 }
 
 // catalogue is the set of permissible metric names parsed from the markdown
-// catalogue: exact names plus patterns from placeholder entries.
+// catalogue: exact names plus patterns from placeholder entries, and the
+// table rows that name one exact metric in their first cell.
 type catalogue struct {
 	exact    map[string]bool
 	patterns []*regexp.Regexp
+	rows     []row
 }
+
+// row is a catalogue table row naming one exact metric or span.
+type row struct {
+	name string
+	pos  token.Position
+}
+
+// rowNameRx matches a table row's first cell when it is one backticked
+// exact name.
+var rowNameRx = regexp.MustCompile("^\\|\\s*`([a-z0-9_.]+)`\\s*\\|")
 
 func (c *catalogue) contains(name string) bool {
 	if c.exact[name] {
@@ -281,10 +316,13 @@ func loadCatalogue(path string) (*catalogue, error) {
 		return nil, fmt.Errorf("metricname: reading catalogue: %w", err)
 	}
 	c := &catalogue{exact: make(map[string]bool)}
-	for _, line := range strings.Split(string(data), "\n") {
+	for i, line := range strings.Split(string(data), "\n") {
 		trimmed := strings.TrimSpace(line)
 		if !strings.HasPrefix(trimmed, "|") && !strings.HasPrefix(trimmed, "- ") {
 			continue
+		}
+		if m := rowNameRx.FindStringSubmatch(trimmed); m != nil && nameRx.MatchString(m[1]) {
+			c.rows = append(c.rows, row{name: m[1], pos: token.Position{Filename: path, Line: i + 1, Column: 1}})
 		}
 		for _, m := range catalogueEntryRx.FindAllStringSubmatch(line, -1) {
 			entry := m[1]

@@ -8,6 +8,7 @@ import (
 
 	"github.com/defender-game/defender/internal/cover"
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/matching"
 	"github.com/defender-game/defender/internal/obs"
 )
 
@@ -41,20 +42,27 @@ func AlgorithmATuple(g *graph.Graph, attackers, k int, p cover.Partition) (Tuple
 // SolveTupleModel computes a k-matching NE of Π_k(G) end to end: it decides
 // the Corollary 4.11 partition exactly (cover.FindNEPartition) and runs
 // Algorithm A_tuple, returning ErrNoMatchingNE when no partition exists.
-// For bipartite graphs this is the paper's Theorem 5.1 pipeline with total
-// cost max{O(k·n), O(m√n)}.
+// The blossom maximum matching makes it O(n^3); the max{O(k·n), O(m√n)}
+// pipeline of Theorem 5.1 is the sparse SolveKMatchingCSR.
 func SolveTupleModel(g *graph.Graph, attackers, k int) (TupleEquilibrium, error) {
 	return SolveTupleModelCtx(context.Background(), g, attackers, k)
 }
 
-// SolveTupleModelCtx is SolveTupleModel under ctx's trace: the partition
-// search plus construction is timed as the span "core.solve_tuple",
-// nested under the caller's span when ctx carries one.
+// SolveTupleModelCtx is SolveTupleModel under ctx's trace: the blossom
+// run is the span "matching.maximum", and the partition plus
+// construction is timed as the span "core.solve_tuple", both nested under
+// the caller's span when ctx carries one.
 func SolveTupleModelCtx(ctx context.Context, g *graph.Graph, attackers, k int) (TupleEquilibrium, error) {
+	return solveTupleModel(ctx, g, matching.MaximumCtx(ctx, g), attackers, k)
+}
+
+// solveTupleModel is SolveTupleModelCtx over a maximum matching mate of
+// g (cover.FindNEPartitionFromMatching).
+func solveTupleModel(ctx context.Context, g *graph.Graph, mate []int, attackers, k int) (TupleEquilibrium, error) {
 	sp, _ := obs.Default().StartSpanCtx(ctx, "core.solve_tuple")
 	sp.Annotate("k", strconv.Itoa(k))
 	defer sp.End()
-	p, err := cover.FindNEPartition(g)
+	p, err := cover.FindNEPartitionFromMatching(g, mate)
 	if err != nil {
 		if errors.Is(err, cover.ErrNoPartition) {
 			return TupleEquilibrium{}, fmt.Errorf("%w: %v", ErrNoMatchingNE, err)

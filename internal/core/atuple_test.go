@@ -14,7 +14,7 @@ func TestAlgorithmATupleAcrossK(t *testing.T) {
 	// A_tuple must output an exact k-matching Nash equilibrium.
 	for name, g := range bipartiteFamilies(t) {
 		t.Run(name, func(t *testing.T) {
-			p, err := cover.FindNEPartitionBipartite(g)
+			p, err := cover.FindNEPartition(g)
 			if err != nil {
 				t.Fatalf("partition: %v", err)
 			}
@@ -50,7 +50,7 @@ func TestAlgorithmATupleAcrossK(t *testing.T) {
 
 func TestAlgorithmATupleKTooLarge(t *testing.T) {
 	g := graph.Path(2) // |IS| = 1, only one support edge
-	p, err := cover.FindNEPartitionBipartite(g)
+	p, err := cover.FindNEPartition(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func bipartiteFamilies(t *testing.T) map[string]*graph.Graph {
 func TestAlgorithmAOnBipartiteFamilies(t *testing.T) {
 	for name, g := range bipartiteFamilies(t) {
 		t.Run(name, func(t *testing.T) {
-			p, err := cover.FindNEPartitionBipartite(g)
+			p, err := cover.FindNEPartition(g)
 			if err != nil {
 				t.Fatalf("partition: %v", err)
 			}

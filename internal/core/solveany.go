@@ -7,6 +7,7 @@ import (
 
 	"github.com/defender-game/defender/internal/game"
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/matching"
 	"github.com/defender-game/defender/internal/obs"
 )
 
@@ -35,11 +36,22 @@ func SolveAny(g *graph.Graph, attackers, k int) (ne TupleEquilibrium, family str
 	return SolveAnyCtx(context.Background(), g, attackers, k)
 }
 
-// SolveAnyCtx is SolveAny under ctx's trace: the family cascade is timed
-// as the span "core.solve_any", and ctx is threaded into the structural
-// constructions and the LP fallback so their spans nest beneath it in
-// the request's waterfall.
+// SolveAnyCtx is SolveAny under ctx's trace: it computes the blossom
+// maximum matching (span "matching.maximum") and runs
+// SolveAnyFromMatchingCtx on it.
 func SolveAnyCtx(ctx context.Context, g *graph.Graph, attackers, k int) (ne TupleEquilibrium, family string, err error) {
+	return SolveAnyFromMatchingCtx(ctx, g, matching.MaximumCtx(ctx, g), attackers, k)
+}
+
+// SolveAnyFromMatchingCtx is SolveAny over an already-computed maximum
+// matching mate of g, which both matching families read: the k-matching
+// family decides Cor 4.11 from it (cover.FindNEPartitionFromMatching)
+// and the perfect-matching family checks and uses it directly, so a
+// caller that also needs ρ(G) = n − |M| matches once per solve. The
+// family cascade is timed as the span "core.solve_any", and ctx is
+// threaded into the structural constructions and the LP fallback so
+// their spans nest beneath it in the request's waterfall.
+func SolveAnyFromMatchingCtx(ctx context.Context, g *graph.Graph, mate []int, attackers, k int) (ne TupleEquilibrium, family string, err error) {
 	sp, ctx := obs.Default().StartSpanCtx(ctx, "core.solve_any")
 	defer func() {
 		// The chosen family is the interesting dimension when reading a
@@ -47,12 +59,12 @@ func SolveAnyCtx(ctx context.Context, g *graph.Graph, attackers, k int) (ne Tupl
 		sp.Annotate("family", family)
 		sp.End()
 	}()
-	if ne, err := SolveTupleModelCtx(ctx, g, attackers, k); err == nil {
+	if ne, err := solveTupleModel(ctx, g, mate, attackers, k); err == nil {
 		return ne, "k-matching", nil
 	} else if !errors.Is(err, ErrNoMatchingNE) && !errors.Is(err, ErrKTooLarge) {
 		return TupleEquilibrium{}, "", err
 	}
-	if ne, err := PerfectMatchingNE(g, attackers, k); err == nil {
+	if ne, err := perfectMatchingNE(g, mate, attackers, k); err == nil {
 		return ne, "perfect-matching", nil
 	} else if !errors.Is(err, ErrNoPerfectMatching) && !errors.Is(err, ErrKTooLarge) {
 		return TupleEquilibrium{}, "", err

@@ -38,7 +38,12 @@ var ErrNotRegular = errors.New("core: graph is not regular")
 // The defender gain 2kν/n is again linear in k, and for fixed k it exceeds
 // the k-matching gain kν/|IS| exactly when |IS| > n/2.
 func PerfectMatchingNE(g *graph.Graph, attackers, k int) (TupleEquilibrium, error) {
-	mate := matching.Maximum(g)
+	return perfectMatchingNE(g, matching.Maximum(g), attackers, k)
+}
+
+// perfectMatchingNE is PerfectMatchingNE over a maximum matching mate of
+// g: g has a perfect matching iff mate is one.
+func perfectMatchingNE(g *graph.Graph, mate []int, attackers, k int) (TupleEquilibrium, error) {
 	pm := matching.Edges(mate)
 	if 2*len(pm) != g.NumVertices() {
 		return TupleEquilibrium{}, fmt.Errorf("%w: maximum matching has %d edges for %d vertices",

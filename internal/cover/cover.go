@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/matching"
@@ -214,21 +213,17 @@ func IsIndependentSet(g *graph.Graph, vs []int) bool {
 }
 
 // MinimumVertexCoverBipartite computes a minimum vertex cover of a bipartite
-// graph via Hopcroft–Karp and König's theorem, in O(m sqrt n). It returns
-// graph.ErrNotBipartite for graphs with odd cycles. Allocates the sorted
-// cover plus the matching scratch.
+// graph: König's theorem (matching.KonigVertexCover) over the blossom
+// maximum matching, O(n^3). It returns graph.ErrNotBipartite for graphs
+// with odd cycles. Allocates the ascending cover plus the matching
+// scratch. The O(m sqrt n) route of Theorem 5.1 is the sparse one:
+// matching.KonigVertexCoverCSR over matching.MaximumBipartiteCSR.
 func MinimumVertexCoverBipartite(g *graph.Graph) ([]int, error) {
 	side, err := g.Bipartition()
 	if err != nil {
 		return nil, err
 	}
-	mate, err := matching.HopcroftKarp(g, side)
-	if err != nil {
-		return nil, err
-	}
-	vc := matching.KonigVertexCover(g, side, mate)
-	sort.Ints(vc)
-	return vc, nil
+	return matching.KonigVertexCover(g, side, matching.Maximum(g)), nil
 }
 
 // membership converts a vertex list into a boolean lookup of length n.

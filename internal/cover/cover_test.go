@@ -256,7 +256,7 @@ func TestPropertyKonigCoverIsMinimum(t *testing.T) {
 // a minimum vertex cover.
 func TestMaximumIndependentSetBipartite(t *testing.T) {
 	g := graph.CompleteBipartite(3, 5)
-	p, err := FindNEPartitionBipartite(g)
+	p, err := FindNEPartition(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,18 +37,41 @@ func (p Partition) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// FindNEPartitionBipartite computes a partition for a bipartite graph:
-// VC is a König minimum vertex cover and IS its complement. The paper's
-// Theorem 5.1 builds on this route. The graph must have no isolated
-// vertices (isolated vertices are in every maximum independent set but make
-// the game itself ill-defined). O(m sqrt n + |VC| · m); allocates the
-// partition and matching scratch. Sparse: the bipartite route of
-// FindNEPartitionCSR.
-func FindNEPartitionBipartite(g *graph.Graph) (Partition, error) {
-	vc, err := MinimumVertexCoverBipartite(g)
-	if err != nil {
-		return Partition{}, err
+// FindNEPartition decides Corollary 4.11 exactly for every graph and
+// returns a partition, ErrNoPartition (a proof that no k-matching
+// equilibrium exists) or ErrIsolatedVertex. It rejects isolated vertices,
+// computes the blossom maximum matching and hands it to
+// FindNEPartitionFromMatching. O(n^3) (blossom-dominated). Sparse
+// counterpart: FindNEPartitionCSR, routing documented in SCALING.md
+// "Routing".
+func FindNEPartition(g *graph.Graph) (Partition, error) {
+	if g.HasIsolatedVertex() {
+		return Partition{}, ErrIsolatedVertex
 	}
+	return FindNEPartitionFromMatching(g, matching.Maximum(g))
+}
+
+// FindNEPartitionFromMatching is FindNEPartition over an already-computed
+// maximum matching mate of g, for callers that read the same matching for
+// the edge-cover number and the perfect-matching family. Bipartite graphs
+// take the König route of Theorem 5.1: VC is the König minimum vertex
+// cover (matching.KonigVertexCover), IS its complement, and the
+// representatives come from IsNEExpander. The cover is the same for every
+// maximum matching, so the partition does not depend on which one mate
+// is. Every other graph takes the König–Egerváry route: with the
+// IS-restricted expander condition a partition exists iff ν(G) = τ(G),
+// which mate turns into a 2-SAT instance (partitionFromMatching).
+// O(n + |VC| · m) on bipartite graphs, O(n + m) otherwise; allocates the
+// partition and its scratch.
+func FindNEPartitionFromMatching(g *graph.Graph, mate []int) (Partition, error) {
+	if g.HasIsolatedVertex() {
+		return Partition{}, ErrIsolatedVertex
+	}
+	side, err := g.Bipartition()
+	if err != nil {
+		return partitionFromMatching(g, mate)
+	}
+	vc := matching.KonigVertexCover(g, side, mate)
 	is := graph.SetComplement(vc, g.NumVertices())
 	rep, violator := IsNEExpander(g, is, vc)
 	if rep == nil {
@@ -58,25 +81,6 @@ func FindNEPartitionBipartite(g *graph.Graph) (Partition, error) {
 		return Partition{}, fmt.Errorf("cover: König cover failed expander check, violator %v", violator)
 	}
 	return Partition{IS: is, VC: vc, Rep: rep}, nil
-}
-
-// FindNEPartition decides Corollary 4.11 exactly for every graph and
-// returns a partition, ErrNoPartition (a proof that no k-matching
-// equilibrium exists) or ErrIsolatedVertex. Bipartite graphs take the
-// König route (FindNEPartitionBipartite). Every other graph takes the
-// König–Egerváry route: with the IS-restricted expander condition, a
-// partition exists iff ν(G) = τ(G), which a maximum matching turns into
-// a 2-SAT instance (partitionFromMatching). O(n^3) (blossom-dominated);
-// allocates the matching and the implication graph. Sparse counterpart:
-// FindNEPartitionCSR, routing documented in SCALING.md "Routing".
-func FindNEPartition(g *graph.Graph) (Partition, error) {
-	if g.HasIsolatedVertex() {
-		return Partition{}, ErrIsolatedVertex
-	}
-	if g.IsBipartite() {
-		return FindNEPartitionBipartite(g)
-	}
-	return partitionFromMatching(g, matching.Maximum(g))
 }
 
 // partitionFromMatching looks for a vertex cover C that holds exactly

@@ -30,20 +30,14 @@ func TestFindNEPartitionBipartiteFamilies(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			p, err := FindNEPartitionBipartite(tt.g)
+			p, err := FindNEPartition(tt.g)
 			if err != nil {
-				t.Fatalf("FindNEPartitionBipartite: %v", err)
+				t.Fatalf("FindNEPartition: %v", err)
 			}
 			if err := p.Validate(tt.g); err != nil {
 				t.Fatalf("Validate: %v", err)
 			}
 		})
-	}
-}
-
-func TestFindNEPartitionBipartiteRejectsOddCycle(t *testing.T) {
-	if _, err := FindNEPartitionBipartite(graph.Cycle(7)); !errors.Is(err, graph.ErrNotBipartite) {
-		t.Errorf("err = %v, want ErrNotBipartite", err)
 	}
 }
 
@@ -213,10 +207,15 @@ func TestFindNEPartitionExhaustiveSmall(t *testing.T) {
 
 // FuzzFindNEPartition differentially checks FindNEPartition against the
 // exact enumeration on graphs of up to 12 vertices: data[0] picks n and
-// the following bytes are a bitmask over the vertex pairs.
+// the following bytes are a bitmask over the vertex pairs. On bipartite
+// inputs it also checks the König route against the sparse one: the
+// dense cover over the blossom matching must equal FindNEPartitionCSR's
+// cover over the Hopcroft–Karp matching.
 func FuzzFindNEPartition(f *testing.F) {
 	f.Add([]byte{2, 0x07})             // K3
 	f.Add([]byte{4, 0x57})             // bull: triangle 0-1-2, pendants 0-3 and 1-4
+	f.Add([]byte{3, 0x29})             // P4 0-1-2-3, bipartite
+	f.Add([]byte{5, 0x01, 0x42})       // edges 0-1, 2-3, 4-5: bipartite, disconnected
 	f.Add([]byte{9, 0xff, 0xff, 0x0f}) // n = 10, the first 20 pairs
 	f.Add([]byte{11, 0xa5, 0x5a, 0xa5, 0x5a, 0xa5, 0x5a, 0xa5, 0x5a, 0xa5})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -232,7 +231,32 @@ func FuzzFindNEPartition(f *testing.F) {
 			t.Skip()
 		}
 		checkAgainstEnumeration(t, g)
+		if g.IsBipartite() {
+			checkKonigMatchesCSR(t, g)
+		}
 	})
+}
+
+// checkKonigMatchesCSR asserts that FindNEPartition's cover on the
+// bipartite graph g is, vertex for vertex, FindNEPartitionCSR's.
+func checkKonigMatchesCSR(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	dense, err := FindNEPartition(g)
+	if err != nil {
+		t.Fatalf("FindNEPartition: %v", err)
+	}
+	sparse, err := FindNEPartitionCSR(graph.FromGraph(g))
+	if err != nil {
+		t.Fatalf("FindNEPartitionCSR: %v", err)
+	}
+	if len(dense.VC) != len(sparse.VC) {
+		t.Fatalf("dense cover %v, CSR cover %v (edges %v)", dense.VC, sparse.VC, g.Edges())
+	}
+	for i, v := range dense.VC {
+		if int(sparse.VC[i]) != v {
+			t.Fatalf("dense cover %v, CSR cover %v (edges %v)", dense.VC, sparse.VC, g.Edges())
+		}
+	}
 }
 
 // A 32-vertex non-bipartite graph with a partition that 32 greedy

@@ -108,13 +108,17 @@ func E8Substrates(cfg Config) (Table, error) {
 		n := n
 		cells[i] = func() ([][]string, error) {
 			var rows [][]string
-			// Bipartite: Hopcroft–Karp.
+			// Bipartite: Hopcroft–Karp on the CSR.
 			bg := graph.RandomBipartite(n/2, n/2, 8.0/float64(n), cfg.Seed)
 			start := time.Now()
-			mate, err := matching.MaximumBipartite(bg)
+			mate32, _, err := matching.MaximumBipartiteCSR(graph.FromGraph(bg))
 			hkTime := time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: E8 HK n=%d: %w", n, err)
+			}
+			mate := make([]int, len(mate32))
+			for v, u := range mate32 {
+				mate[v] = int(u)
 			}
 			hkOK := matching.Verify(bg, mate) == nil
 			rows = append(rows, []string{

@@ -95,12 +95,12 @@ func TestBlossomMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Property: on bipartite graphs, blossom and Hopcroft–Karp agree.
+// Property: on bipartite graphs, blossom and the CSR Hopcroft–Karp agree.
 func TestPropertyBlossomAgreesWithHopcroftKarp(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.RandomBipartite(1+rng.Intn(12), 1+rng.Intn(12), rng.Float64(), seed)
-		hk, err := MaximumBipartite(g)
+		hk, _, err := MaximumBipartiteCSR(graph.FromGraph(g))
 		if err != nil {
 			return false
 		}
@@ -108,7 +108,7 @@ func TestPropertyBlossomAgreesWithHopcroftKarp(t *testing.T) {
 		if err := Verify(g, bl); err != nil {
 			return false
 		}
-		return Size(hk) == Size(bl)
+		return SizeCSR(hk) == Size(bl)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -7,9 +7,8 @@ import (
 )
 
 // CSR Hopcroft–Karp phase counter (catalogued in OBSERVABILITY.md): one
-// increment per BFS layering that found an augmenting path, mirroring
-// matching.hopcroftkarp.phases for the sparse path so the O(sqrt n) phase
-// bound stays empirically checkable at 10^6 vertices.
+// increment per BFS layering that found an augmenting path, so the
+// O(sqrt n) phase bound stays empirically checkable at 10^6 vertices.
 var obsCSRHKPhases = obs.Default().Counter("matching.csr.hopcroftkarp.phases")
 
 // hkParallelGrain is the vertex count below which the phase BFS stays

@@ -3,6 +3,7 @@ package matching
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/defender-game/defender/internal/graph"
@@ -66,9 +67,10 @@ func bruteForceCrossMatching(c *graph.CSR, side []int8) int {
 	return best(0)
 }
 
-// goldenBipartite is the golden corpus of bipartite graphs the CSR and
-// dense Hopcroft–Karp implementations are differentially tested on: named
-// families with known matching numbers plus seeded random families.
+// goldenBipartite is the golden corpus of bipartite graphs the CSR
+// Hopcroft–Karp and König routes are differentially tested on against the
+// dense blossom and König: named families with known matching numbers
+// plus seeded random families.
 func goldenBipartite() map[string]*graph.Graph {
 	corpus := map[string]*graph.Graph{
 		"empty":      graph.New(0),
@@ -100,14 +102,12 @@ func goldenBipartite() map[string]*graph.Graph {
 }
 
 // TestHopcroftKarpCSRMatchesDense is the differential acceptance test: on
-// every golden graph the CSR and dense Hopcroft–Karp return matchings of
-// equal cardinality, and the CSR matching is a valid matching of the graph.
+// every golden graph the CSR Hopcroft–Karp and the dense blossom return
+// matchings of equal cardinality, and the CSR matching is a valid matching
+// of the graph.
 func TestHopcroftKarpCSRMatchesDense(t *testing.T) {
 	for name, g := range goldenBipartite() {
-		denseMate, err := MaximumBipartite(g)
-		if err != nil {
-			t.Fatalf("%s: dense: %v", name, err)
-		}
+		denseMate := Maximum(g)
 		c := graph.FromGraph(g)
 		mate, side, err := MaximumBipartiteCSR(c)
 		if err != nil {
@@ -159,6 +159,66 @@ func TestHopcroftKarpCSRValidation(t *testing.T) {
 	}
 	if SizeCSR(mate) != 2 {
 		t.Errorf("P4 matching size %d, want 2", SizeCSR(mate))
+	}
+}
+
+// maxBipartite runs the CSR Hopcroft–Karp on g and fails t unless it
+// returns a valid matching of g, converted to a dense mate array.
+func maxBipartite(t *testing.T, g *graph.Graph) []int {
+	t.Helper()
+	mate32, _, err := MaximumBipartiteCSR(graph.FromGraph(g))
+	if err != nil {
+		t.Fatalf("MaximumBipartiteCSR: %v", err)
+	}
+	mate := make([]int, len(mate32))
+	for v, u := range mate32 {
+		mate[v] = int(u)
+	}
+	if err := Verify(g, mate); err != nil {
+		t.Fatalf("invalid matching: %v", err)
+	}
+	return mate
+}
+
+func TestHopcroftKarpKnownSizes(t *testing.T) {
+	tests := []struct {
+		name string
+		g    *graph.Graph
+		want int
+	}{
+		{"single edge", graph.Path(2), 1},
+		{"path5", graph.Path(5), 2},
+		{"path6", graph.Path(6), 3},
+		{"even cycle", graph.Cycle(8), 4},
+		{"star", graph.Star(6), 1},
+		{"K34", graph.CompleteBipartite(3, 4), 3},
+		{"K44", graph.CompleteBipartite(4, 4), 4},
+		{"grid34", graph.Grid(3, 4), 6},
+		{"hypercube3", graph.Hypercube(3), 4},
+		{"disjoint edges", graph.PerfectMatchingGraph(10), 5},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			mate := maxBipartite(t, tt.g)
+			if got := Size(mate); got != tt.want {
+				t.Errorf("matching size = %d, want %d", got, tt.want)
+			}
+		})
+	}
+}
+
+func TestHopcroftKarpMatchesBruteForce(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := 1+rng.Intn(4), 1+rng.Intn(4)
+		g := graph.RandomBipartite(a, b, 0.5, seed)
+		if g.NumEdges() > 16 {
+			continue
+		}
+		mate := maxBipartite(t, g)
+		if got, want := Size(mate), bruteForceMaximumMatchingSize(g); got != want {
+			t.Fatalf("seed %d: HK size %d, brute force %d\n%s", seed, got, want, g.EncodeString())
+		}
 	}
 }
 

@@ -1,25 +1,24 @@
 // Package matching implements the matching algorithms the equilibrium
-// constructions depend on: Hopcroft–Karp maximum matching for bipartite
-// graphs (Theorem 5.1 of the paper computes a minimum vertex cover of a
-// bipartite graph in O(m sqrt n) this way), Edmonds' blossom algorithm for
-// maximum matching in general graphs (minimum edge covers, Corollary 3.2),
-// and Kuhn-style systems of distinct representatives used to decide the
-// VC-expander condition of Corollary 4.11 via Hall's theorem.
+// constructions depend on. Every dense solve computes one maximum
+// matching with Edmonds' blossom algorithm (Maximum, O(n^3)) and reads
+// everything from it: the edge-cover number rho = n - |M| (Gallai,
+// Corollary 3.2), the Corollary 4.11 partition — König's vertex cover
+// (KonigVertexCover) on bipartite graphs, the König–Egerváry 2-SAT
+// otherwise — and the perfect-matching equilibrium family. The sparse
+// path matches bipartite CSR graphs with Hopcroft–Karp
+// (MaximumBipartiteCSR, O(m sqrt n), the bound Theorem 5.1 quotes), and
+// Kuhn-style systems of distinct representatives decide the VC-expander
+// condition of Corollary 4.11 via Hall's theorem.
 //
-// Matchings are exchanged in two forms: a mate array (mate[v] = partner of v
-// or -1) and an edge list. Both forms are normalized and validated by the
-// helpers in this file.
+// Dense matchings are mate arrays: mate[v] is the partner of v or
+// Unmatched. The helpers in this file convert, copy and validate them.
 package matching
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/defender-game/defender/internal/graph"
 )
-
-// ErrNotMatching is returned when an edge set is not a matching of the graph.
-var ErrNotMatching = errors.New("matching: edge set is not a matching")
 
 // Unmatched marks a vertex without a partner in a mate array.
 const Unmatched = -1
@@ -68,63 +67,6 @@ func Edges(mate []int) []graph.Edge {
 		}
 	}
 	return out
-}
-
-// FromEdges converts an edge list into a mate array for a graph on n
-// vertices. It returns ErrNotMatching if two edges share a vertex, and an
-// error if an endpoint is out of range or an edge is a self-loop.
-// O(n + |edges|); allocates the mate array.
-func FromEdges(n int, edges []graph.Edge) ([]int, error) {
-	mate := NewMateArray(n)
-	for _, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("matching: edge %v out of range for n=%d", e, n)
-		}
-		if e.U == e.V {
-			return nil, fmt.Errorf("matching: self-loop %v", e)
-		}
-		if mate[e.U] != Unmatched || mate[e.V] != Unmatched {
-			return nil, fmt.Errorf("%w: %v shares a vertex with another edge", ErrNotMatching, e)
-		}
-		mate[e.U] = e.V
-		mate[e.V] = e.U
-	}
-	return mate, nil
-}
-
-// IsMatching reports whether edges is a matching of g: every edge belongs to
-// g and no two edges share an endpoint. O(|edges|) expected (edge-id map
-// lookups); allocates a scratch endpoint set.
-func IsMatching(g *graph.Graph, edges []graph.Edge) bool {
-	used := make(map[int]bool, 2*len(edges))
-	for _, e := range edges {
-		if g.EdgeID(e) < 0 {
-			return false
-		}
-		if used[e.U] || used[e.V] {
-			return false
-		}
-		used[e.U] = true
-		used[e.V] = true
-	}
-	return true
-}
-
-// IsPerfect reports whether edges is a perfect matching of g. Cost of
-// IsMatching: O(|edges|) expected, allocates its scratch set.
-func IsPerfect(g *graph.Graph, edges []graph.Edge) bool {
-	return IsMatching(g, edges) && 2*len(edges) == g.NumVertices()
-}
-
-// Saturates reports whether every vertex of sorted set vs is matched in mate.
-// O(|vs|), does not allocate.
-func Saturates(mate []int, vs []int) bool {
-	for _, v := range vs {
-		if v < 0 || v >= len(mate) || mate[v] == Unmatched {
-			return false
-		}
-	}
-	return true
 }
 
 // Greedy returns a maximal (not necessarily maximum) matching of g, built by

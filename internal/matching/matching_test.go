@@ -1,7 +1,6 @@
 package matching
 
 import (
-	"errors"
 	"testing"
 
 	"github.com/defender-game/defender/internal/graph"
@@ -53,56 +52,6 @@ func TestMateArrayHelpers(t *testing.T) {
 	edges := Edges(mate)
 	if len(edges) != 1 || edges[0] != graph.NewEdge(0, 1) {
 		t.Errorf("Edges = %v", edges)
-	}
-}
-
-func TestFromEdges(t *testing.T) {
-	mate, err := FromEdges(4, []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(2, 3)})
-	if err != nil {
-		t.Fatalf("FromEdges: %v", err)
-	}
-	if mate[0] != 1 || mate[2] != 3 {
-		t.Error("mate array wrong")
-	}
-	if _, err := FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}); !errors.Is(err, ErrNotMatching) {
-		t.Errorf("overlapping edges: err = %v, want ErrNotMatching", err)
-	}
-	if _, err := FromEdges(2, []graph.Edge{{U: 0, V: 5}}); err == nil {
-		t.Error("out of range must fail")
-	}
-	if _, err := FromEdges(2, []graph.Edge{{U: 1, V: 1}}); err == nil {
-		t.Error("self loop must fail")
-	}
-}
-
-func TestIsMatchingAndIsPerfect(t *testing.T) {
-	g := graph.Cycle(6)
-	m1 := []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(2, 3), graph.NewEdge(4, 5)}
-	if !IsMatching(g, m1) || !IsPerfect(g, m1) {
-		t.Error("alternate cycle edges form a perfect matching")
-	}
-	if IsMatching(g, []graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(1, 2)}) {
-		t.Error("sharing vertex 1 is not a matching")
-	}
-	if IsMatching(g, []graph.Edge{graph.NewEdge(0, 2)}) {
-		t.Error("non-edges are rejected")
-	}
-	if IsPerfect(g, m1[:2]) {
-		t.Error("4 of 6 vertices is not perfect")
-	}
-}
-
-func TestSaturates(t *testing.T) {
-	mate := NewMateArray(4)
-	mate[0], mate[1] = 1, 0
-	if !Saturates(mate, []int{0, 1}) {
-		t.Error("0,1 matched")
-	}
-	if Saturates(mate, []int{0, 2}) {
-		t.Error("2 unmatched")
-	}
-	if Saturates(mate, []int{9}) {
-		t.Error("out of range never saturated")
 	}
 }
 

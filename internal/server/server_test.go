@@ -627,6 +627,71 @@ func TestLPMinimaxSolvesOneLP(t *testing.T) {
 	}
 }
 
+// graph6Body is a POST /v1/solve body addressing g by its graph6 key.
+func graph6Body(t *testing.T, g *graph.Graph, k int) string {
+	t.Helper()
+	g6, err := graph.FormatGraph6(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf(`{"graph6":%q,"k":%d}`, g6, k)
+}
+
+// oneMatchingCases are one cache-miss solve per equilibrium family.
+var oneMatchingCases = []struct {
+	name   string
+	g      *graph.Graph
+	k      int
+	family string
+}{
+	{"grid34", graph.Grid(3, 4), 2, "k-matching"},
+	{"petersen", graph.Petersen(), 5, "perfect-matching"},
+	{"C5", graph.Cycle(5), 2, "lp-minimax"},
+	{"C7", graph.Cycle(7), 1, "regular"},
+}
+
+// matchingRuns sums the counts of every matching.<engine>.seconds span
+// histogram: one per maximum-matching run, whichever engine ran.
+func matchingRuns() map[string]uint64 {
+	runs := map[string]uint64{}
+	for name, h := range obs.Default().Snapshot().Histograms {
+		if strings.HasPrefix(name, "matching.") && strings.HasSuffix(name, ".seconds") {
+			runs[name] = h.Count
+		}
+	}
+	return runs
+}
+
+// TestSolveComputesOneMatching: a cache-miss solve computes one maximum
+// matching, whatever family answers. ρ(G), the Cor 4.11 partition and the
+// perfect-matching family all read the same mate array, so
+// matching.maximum advances by exactly 1 and no other matching engine
+// runs.
+func TestSolveComputesOneMatching(t *testing.T) {
+	for _, tc := range oneMatchingCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t)
+			before := matchingRuns()
+			w := do(s, http.MethodPost, "/v1/solve", graph6Body(t, tc.g, tc.k))
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", w.Code, w.Body.String())
+			}
+			if res := decodeSolve(t, w).Result; res.MixedNE == nil || res.MixedNE.Family != tc.family {
+				t.Fatalf("want the %s family: %+v", tc.family, res.MixedNE)
+			}
+			for name, n := range matchingRuns() {
+				want := uint64(0)
+				if name == "matching.maximum.seconds" {
+					want = 1
+				}
+				if got := n - before[name]; got != want {
+					t.Errorf("%s advanced by %d, want %d", name, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestLPMinimaxDeadlineFreesWorker: the simplex observes the request's
 // deadline, so an lp-minimax solve that outlives it returns 504 at its
 // next pivot instead of running to completion on the broker's only

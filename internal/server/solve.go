@@ -9,9 +9,9 @@ import (
 	"net/http"
 
 	"github.com/defender-game/defender/internal/core"
-	"github.com/defender-game/defender/internal/cover"
 	"github.com/defender-game/defender/internal/game"
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/matching"
 )
 
 // maxRenderedTuples caps the defender-support enumeration included in a
@@ -138,10 +138,13 @@ func solveErr(err error) *apiError {
 // pure-NE existence (Theorem 3.1), a verified mixed equilibrium
 // (core.SolveAny), and the exact ν=1 game value — by LP oracle when the
 // tuple space is enumerable, else by the structured equilibrium's closed
-// form (Claim 4.3). An lp-minimax equilibrium already carries the LP's
-// value, so that family solves one LP per request, not two. It runs on a
-// broker worker; ctx is observed between stages and at every simplex
-// pivot, so an expired request frees its worker.
+// form (Claim 4.3). One blossom maximum matching M serves the whole
+// request: ρ(G) = n − |M| by Gallai's identity (buildGraph has rejected
+// isolated vertices), and the same mate array feeds the k-matching and
+// perfect-matching families. An lp-minimax equilibrium already carries
+// the LP's value, so that family solves one LP per request, not two. It
+// runs on a broker worker; ctx is observed between stages and at every
+// simplex pivot, so an expired request frees its worker.
 func solve(ctx context.Context, g *graph.Graph, g6 string, k, attackers int) (*SolveResult, error) {
 	res := &SolveResult{
 		Graph6:    g6,
@@ -150,17 +153,14 @@ func solve(ctx context.Context, g *graph.Graph, g6 string, k, attackers int) (*S
 		K:         k,
 		Attackers: attackers,
 	}
-	rho, err := cover.EdgeCoverNumberCtx(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	res.Rho = rho
-	res.PureNE = k >= rho
+	mate := matching.MaximumCtx(ctx, g)
+	res.Rho = g.NumVertices() - matching.Size(mate)
+	res.PureNE = k >= res.Rho
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	ne, family, err := core.SolveAnyCtx(ctx, g, attackers, k)
+	ne, family, err := core.SolveAnyFromMatchingCtx(ctx, g, mate, attackers, k)
 	switch {
 	case err == nil:
 		res.MixedNE = renderMixedNE(g, ne, family, res)

@@ -133,6 +133,56 @@ func TestTraceConnectedThroughBroker(t *testing.T) {
 	}
 }
 
+// TestMatchingSpansJoinTheRequestTrace: the one maximum matching of a
+// solve runs under the request's context, so with every trace sampled
+// each matching.maximum event carries the request's trace ID and hangs
+// off a span of that request. No other matching span is written: the
+// bipartite partition reuses the blossom matching.
+func TestMatchingSpansJoinTheRequestTrace(t *testing.T) {
+	buf := captureTrace(t)
+	s := newTestServer(t)
+	traces := map[string]string{}
+	for i, tc := range oneMatchingCases[:2] { // Grid(3,4) and Petersen
+		id := strings.Repeat(fmt.Sprintf("%02x", 0x41+i), 16)
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(graph6Body(t, tc.g, tc.k)))
+		req.Header.Set(TraceHeader, id)
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, w.Code, w.Body.String())
+		}
+		traces[id] = tc.name
+	}
+
+	matchings := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev obs.SpanEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad span line %q: %v", line, err)
+		}
+		switch {
+		case ev.Name == "matching.maximum":
+			matchings++
+			if _, ok := traces[ev.TraceID]; !ok {
+				t.Errorf("matching.maximum outside the requests' traces: %+v", ev)
+				continue
+			}
+			parent := false
+			for _, other := range spansOf(t, buf, ev.TraceID) {
+				parent = parent || other.SpanID == ev.ParentID
+			}
+			if !parent {
+				t.Errorf("matching.maximum in %s has parent %q outside its request's spans", traces[ev.TraceID], ev.ParentID)
+			}
+		case strings.HasPrefix(ev.Name, "matching."):
+			t.Errorf("second matching engine ran: %+v", ev)
+		}
+	}
+	if matchings != len(traces) {
+		t.Errorf("%d matching.maximum events, want one per request (%d)", matchings, len(traces))
+	}
+}
+
 // TestCancelledRequestSpanStillCloses (the deadline-cancellation leg of
 // the orphan-span suite): a request whose deadline expires while still
 // queued gets its 504, and its queue-wait span still closes — carrying
