@@ -1,4 +1,4 @@
-// Command defenderlint runs the project's ten invariant analyzers (plus
+// Command defenderlint runs the project's eleven invariant analyzers (plus
 // the suppression auditor) over packages of this module — a multichecker in
 // the style of golang.org/x/tools/go/analysis/multichecker, built on the
 // dependency-free whole-module engine in internal/analyzers/analysis.

@@ -11,7 +11,9 @@ import (
 )
 
 // badmod is the seeded-violation fixture tree: one finding each for errlost,
-// floateq, mutexcopy, nakedpanic, and the suppression auditor.
+// floateq, mutexcopy, nakedpanic, and the suppression auditor. Linted from
+// this directory it is a partial run of the enclosing module, so its
+// seeded deadexport finding stays silent (see TestDeadExportSeeded).
 const badmod = "testdata/badmod/..."
 
 // seededCounts is what the fixture is built to produce.
@@ -36,6 +38,66 @@ func TestRepositoryIsLintClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Fatalf("repository has %d defenderlint findings; fix them or annotate with // lint:invariant(<analyzer>): <reason> where justified", len(diags))
+	}
+}
+
+// deadExports returns the deadexport findings among diags.
+func deadExports(diags []analysis.Diagnostic) []analysis.Diagnostic {
+	var out []analysis.Diagnostic
+	for _, d := range diags {
+		if d.Analyzer == "deadexport" {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// TestDeadExportSeeded lints badmod as a module of its own (it has a
+// go.mod), test files included: the one run shape in which "nothing refers
+// to it" is a fact, so the seeded unreferenced export is reported.
+func TestDeadExportSeeded(t *testing.T) {
+	diags, _, err := Lint("testdata/badmod", []string{"./..."}, analyzers.All(), true)
+	if err != nil {
+		t.Fatalf("Lint: %v", err)
+	}
+	dead := deadExports(diags)
+	if len(dead) != 1 || !strings.Contains(dead[0].Message, "exported Orphan is never referenced") {
+		t.Fatalf("deadexport findings = %v, want exactly the seeded Orphan", dead)
+	}
+	// Without test files the same complete run reports nothing.
+	diags, _, err = Lint("testdata/badmod", []string{"./..."}, analyzers.All(), false)
+	if err != nil {
+		t.Fatalf("Lint: %v", err)
+	}
+	if dead := deadExports(diags); len(dead) != 0 {
+		t.Fatalf("run without test files reported %v", dead)
+	}
+}
+
+// TestDeadExportNeedsCompleteTestRun covers the gate on the real module: a
+// partial run sees none of the other packages that call internal/graph,
+// and a run without test files misses the fixtures other packages' tests
+// share, so either would report live exports as dead. Both must report no
+// deadexport finding at all.
+func TestDeadExportNeedsCompleteTestRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short mode")
+	}
+	for _, tc := range []struct {
+		name         string
+		patterns     []string
+		includeTests bool
+	}{
+		{"partial run with tests", []string{"./internal/graph"}, true},
+		{"whole module without tests", []string{"./..."}, false},
+	} {
+		diags, _, err := Lint("../..", tc.patterns, analyzers.All(), tc.includeTests)
+		if err != nil {
+			t.Fatalf("%s: Lint: %v", tc.name, err)
+		}
+		if dead := deadExports(diags); len(dead) != 0 {
+			t.Errorf("%s reported %d deadexport findings, want 0; first: %s", tc.name, len(dead), dead[0])
+		}
 	}
 }
 

@@ -2,6 +2,9 @@
 // main_test.go can pin down the driver's exit-code contract, per-analyzer
 // summary counts, and output formats against known findings. The go tool
 // never builds testdata; only the driver's own loader reads this file.
+//
+// badmod has its own go.mod so that a run rooted here covers a whole
+// module: only such a run, with test files, reports deadexport.
 package bad
 
 import (
@@ -31,3 +34,5 @@ func stale() int {
 	// lint:invariant(floateq): seeded stale suppression; nothing below compares floats
 	return 1
 }
+
+func Orphan() {} // seeded deadexport finding (whole-module, -include-tests runs only)

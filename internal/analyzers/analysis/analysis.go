@@ -76,8 +76,8 @@ func NewModule(fset *token.FileSet, root string) *Module {
 	return &Module{Fset: fset, Root: root, state: make(map[string]any)}
 }
 
-// State returns a's module-wide state, building it on first use.
-func (m *Module) State(a *Analyzer) any {
+// stateOf returns a's module-wide state, building it on first use.
+func (m *Module) stateOf(a *Analyzer) any {
 	if m.state == nil {
 		m.state = make(map[string]any)
 	}
@@ -128,7 +128,7 @@ func (p *Pass) State() any {
 	if p.Module == nil {
 		return nil
 	}
-	return p.Module.State(p.Analyzer)
+	return p.Module.stateOf(p.Analyzer)
 }
 
 // InTestFile reports whether pos falls in a _test.go file. Test files enter
@@ -148,7 +148,7 @@ type ModulePass struct {
 }
 
 // State returns the analyzer's module-wide state.
-func (mp *ModulePass) State() any { return mp.Module.State(mp.Analyzer) }
+func (mp *ModulePass) State() any { return mp.Module.stateOf(mp.Analyzer) }
 
 // Reportf records a diagnostic at an already-resolved position (Finish runs
 // after the AST walks, so callers carry token.Position in their state).
@@ -203,14 +203,6 @@ func RunModule(m *Module, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic,
 
 	sortDiagnostics(diags)
 	return diags, nil
-}
-
-// Run applies each analyzer to a single package — the pre-module entry point,
-// kept for one-package callers. Suppressions in the package are honored and
-// audited exactly as in a module run.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	m := NewModule(pkg.Fset, pkg.Dir)
-	return RunModule(m, []*Package{pkg}, analyzers)
 }
 
 // sortDiagnostics orders diagnostics by file, line, column, analyzer, and

@@ -266,7 +266,17 @@ func parseGoFiles(fset *token.FileSet, dir string, testFiles bool) ([]*ast.File,
 // graph are identical to a non-test run; the test variants are type-checked
 // on top of it and are never importable.
 func (l *Loader) LoadDirWithTests(dir string) ([]*Package, error) {
-	base, err := l.LoadDir(dir)
+	path, err := l.importPathFor(dir)
+	if err != nil {
+		return nil, err
+	}
+	return l.LoadFixtureWithTests(dir, path)
+}
+
+// LoadFixtureWithTests is LoadDirWithTests under an explicit import path,
+// for fixture packages.
+func (l *Loader) LoadFixtureWithTests(dir, pkgPath string) ([]*Package, error) {
+	base, err := l.load(dir, pkgPath)
 	if err != nil {
 		return nil, err
 	}

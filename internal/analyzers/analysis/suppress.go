@@ -27,7 +27,7 @@ const marker = "lint:invariant"
 const SuppressionDoc = "// lint:invariant(<analyzer>): <reason>"
 
 // AuditorName is the analyzer name the suppression auditor reports under;
-// drivers treat it like a tenth analyzer for -only/-skip and summaries.
+// drivers treat it like a twelfth analyzer for -only/-skip and summaries.
 const AuditorName = "suppression"
 
 // AuditorDoc describes the auditor in driver listings.

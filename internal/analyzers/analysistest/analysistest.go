@@ -22,7 +22,7 @@ import (
 
 // expectation is one // want entry: a compiled regexp anchored to a line.
 type expectation struct {
-	file string // base name
+	file string // path, as the loader names the file
 	line int
 	re   *regexp.Regexp
 	met  bool
@@ -58,14 +58,54 @@ func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	}
 	module := analysis.NewModule(loader.Fset, dir)
 	module.Complete = true // the fixture package is the whole module
-	diags, err := analysis.RunModule(module, []*analysis.Package{pkg}, []*analysis.Analyzer{a})
+	check(t, module, []*analysis.Package{pkg}, []string{dir}, a)
+}
+
+// RunModule loads the fixture packages named by pkgPaths, each at
+// root/<path> and with its _test.go files, and applies the analyzer to
+// them as one complete, test-inclusive module — the shape of a
+// `defenderlint -include-tests ./...` run, for analyzers whose findings
+// depend on references between packages and from tests. Imports resolve
+// under root, which is also the module root. Expectations are read from
+// every loaded package directory.
+func RunModule(t *testing.T, root string, pkgPaths []string, a *analysis.Analyzer) {
+	t.Helper()
+	loader, err := analysis.NewFixtureLoader(root)
+	if err != nil {
+		t.Fatalf("analysistest: new loader: %v", err)
+	}
+	var pkgs []*analysis.Package
+	var dirs []string
+	for _, path := range pkgPaths {
+		dir := filepath.Join(root, filepath.FromSlash(path))
+		variants, err := loader.LoadFixtureWithTests(dir, path)
+		if err != nil {
+			t.Fatalf("analysistest: load %s: %v", dir, err)
+		}
+		pkgs = append(pkgs, variants...)
+		dirs = append(dirs, dir)
+	}
+	module := analysis.NewModule(loader.Fset, root)
+	module.Complete, module.IncludeTests = true, true
+	check(t, module, pkgs, dirs, a)
+}
+
+// check runs the analyzer over pkgs and matches its diagnostics against
+// the expectations found in dirs.
+func check(t *testing.T, module *analysis.Module, pkgs []*analysis.Package, dirs []string, a *analysis.Analyzer) {
+	t.Helper()
+	diags, err := analysis.RunModule(module, pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analysistest: run %s: %v", a.Name, err)
 	}
 
-	expects, err := parseExpectations(dir)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
+	var expects []*expectation
+	for _, dir := range dirs {
+		es, err := parseExpectations(dir)
+		if err != nil {
+			t.Fatalf("analysistest: %v", err)
+		}
+		expects = append(expects, es...)
 	}
 
 	for _, d := range diags {
@@ -82,9 +122,9 @@ func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 
 // claim marks the first unmet expectation matching d and reports success.
 func claim(expects []*expectation, d analysis.Diagnostic) bool {
-	base := filepath.Base(d.Pos.Filename)
+	file := filepath.Clean(d.Pos.Filename)
 	for _, e := range expects {
-		if !e.met && e.file == base && e.line == d.Pos.Line && e.re.MatchString(d.Message) {
+		if !e.met && e.file == file && e.line == d.Pos.Line && e.re.MatchString(d.Message) {
 			e.met = true
 			return true
 		}
@@ -134,7 +174,7 @@ func parseExpectations(dir string) ([]*expectation, error) {
 					f.Close()
 					return nil, fmt.Errorf("%s:%d: bad want regexp %q: %v", entry.Name(), line, p, err)
 				}
-				out = append(out, &expectation{file: entry.Name(), line: line, re: re})
+				out = append(out, &expectation{file: filepath.Clean(path), line: line, re: re})
 			}
 		}
 		if err := scanner.Err(); err != nil {

@@ -5,6 +5,7 @@ package analyzers
 
 import (
 	"github.com/defender-game/defender/internal/analyzers/analysis"
+	"github.com/defender-game/defender/internal/analyzers/deadexport"
 	"github.com/defender-game/defender/internal/analyzers/errlost"
 	"github.com/defender-game/defender/internal/analyzers/floateq"
 	"github.com/defender-game/defender/internal/analyzers/globalrand"
@@ -17,11 +18,12 @@ import (
 	"github.com/defender-game/defender/internal/analyzers/ratraw"
 )
 
-// All returns the ten registered analyzers, in deterministic order. The
+// All returns the eleven registered analyzers, in deterministic order. The
 // suppression auditor is not listed here: it is part of the framework
 // (analysis.AuditorName) and runs on every invocation.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
+		deadexport.Analyzer,
 		errlost.Analyzer,
 		floateq.Analyzer,
 		globalrand.Analyzer,

@@ -3,7 +3,7 @@
 //
 // Every experiment in this repo must be reproducible from a single seed
 // (EXPERIMENTS.md); randomness therefore flows through an injected
-// *rand.Rand (see graph.Generator and dynamics.RegretMatchingRand). Calls
+// *rand.Rand (see graph.Generator and dynamics.RegretMatching). Calls
 // like rand.Intn or rand.Float64 draw from the process-global source, whose
 // state is shared across goroutines and cannot be replayed, so the analyzer
 // flags any math/rand package-level call except the constructors (New,

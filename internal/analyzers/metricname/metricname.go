@@ -12,8 +12,9 @@
 //  3. be registered at exactly one call site module-wide (the module Finish
 //     hook sees every package), and
 //  4. appear in the OBSERVABILITY.md catalogue, where entries may carry
-//     placeholder segments in angle brackets and brace alternations
-//     ("experiments.cache.<kind>.{hits,misses}"). Only catalogue rows —
+//     placeholder segments in angle brackets
+//     ("experiments.table.<id>.cell_seconds") and brace alternations
+//     ("server.cache.{hits,misses}"). Only catalogue rows —
 //     lines starting with "|" (tables) or "-" (bullet lists) — count;
 //     backticked names in running prose (conventions, cross-references)
 //     never vouch for a registration, so a prose example like

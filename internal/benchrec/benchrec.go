@@ -118,7 +118,7 @@ type Table struct {
 // Timestamp (now, UTC, second resolution), Hostname, GOOS and GOARCH.
 func (r *Report) StampEnvironment(repoDir string) {
 	r.SchemaVersion = SchemaVersion
-	r.GitSHA = GitSHA(repoDir)
+	r.GitSHA = gitSHA(repoDir)
 	r.Timestamp = time.Now().UTC().Truncate(time.Second)
 	if host, err := os.Hostname(); err == nil {
 		r.Hostname = host
@@ -127,10 +127,10 @@ func (r *Report) StampEnvironment(repoDir string) {
 	r.GOARCH = runtime.GOARCH
 }
 
-// GitSHA returns the HEAD commit of the repository containing dir (the
+// gitSHA returns the HEAD commit of the repository containing dir (the
 // working directory when dir is empty), or "" when git or the repository
 // is unavailable — bench records stay usable outside a checkout.
-func GitSHA(dir string) string {
+func gitSHA(dir string) string {
 	cmd := exec.Command("git", "rev-parse", "HEAD")
 	cmd.Dir = dir
 	out, err := cmd.Output()
@@ -164,10 +164,10 @@ func (r *Report) Save(path string) error {
 	return nil
 }
 
-// Parse decodes a bench record, rejecting malformed JSON, unknown fields,
+// parse decodes a bench record, rejecting malformed JSON, unknown fields,
 // and any schema version other than the current one with a descriptive
 // error. name labels the source in errors (a path, usually).
-func Parse(name string, data []byte) (*Report, error) {
+func parse(name string, data []byte) (*Report, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var r Report
@@ -195,5 +195,5 @@ func Load(path string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("benchrec: %w", err)
 	}
-	return Parse(path, data)
+	return parse(path, data)
 }

@@ -127,7 +127,7 @@ func TestStampEnvironment(t *testing.T) {
 }
 
 func TestGitSHAOutsideRepo(t *testing.T) {
-	if sha := GitSHA(t.TempDir()); sha != "" {
+	if sha := gitSHA(t.TempDir()); sha != "" {
 		t.Errorf("GitSHA outside a checkout = %q, want empty", sha)
 	}
 }

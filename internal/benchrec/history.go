@@ -13,10 +13,10 @@ import (
 // the record.
 const historyStampLayout = "20060102T150405Z"
 
-// HistoryFileName derives the append-only store's file name for a report:
+// historyFileName derives the append-only store's file name for a report:
 // "<timestamp>-<sha12>.json", falling back to "nogit" outside a checkout.
 // The timestamp prefix makes lexical directory order chronological.
-func HistoryFileName(r *Report) string {
+func historyFileName(r *Report) string {
 	sha := r.GitSHA
 	if sha == "" {
 		sha = "nogit"
@@ -27,14 +27,14 @@ func HistoryFileName(r *Report) string {
 }
 
 // AppendHistory writes the report to dir (created if missing) under its
-// HistoryFileName, suffixing "-1", "-2", … rather than overwriting when
+// historyFileName, suffixing "-1", "-2", … rather than overwriting when
 // two runs of the same second and commit collide — the store is
 // append-only by construction. It returns the path written.
 func AppendHistory(dir string, r *Report) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("benchrec: history dir: %w", err)
 	}
-	base := strings.TrimSuffix(HistoryFileName(r), ".json")
+	base := strings.TrimSuffix(historyFileName(r), ".json")
 	path := filepath.Join(dir, base+".json")
 	for i := 1; ; i++ {
 		if _, err := os.Stat(path); os.IsNotExist(err) {
@@ -51,7 +51,7 @@ func AppendHistory(dir string, r *Report) (string, error) {
 }
 
 // ListHistory returns the history record paths in dir, oldest first
-// (lexical order — chronological by construction of HistoryFileName).
+// (lexical order — chronological by construction of historyFileName).
 // Non-JSON files (a README, editor droppings) are ignored.
 func ListHistory(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)

@@ -21,11 +21,11 @@ func historyReport(ts time.Time, sha string) *Report {
 func TestHistoryFileName(t *testing.T) {
 	ts := time.Date(2026, 8, 5, 9, 30, 1, 0, time.UTC)
 	r := historyReport(ts, "0123456789abcdef0123456789abcdef01234567")
-	if got, want := HistoryFileName(r), "20260805T093001Z-0123456789ab.json"; got != want {
-		t.Errorf("HistoryFileName = %q, want %q", got, want)
+	if got, want := historyFileName(r), "20260805T093001Z-0123456789ab.json"; got != want {
+		t.Errorf("historyFileName = %q, want %q", got, want)
 	}
 	r.GitSHA = ""
-	if got := HistoryFileName(r); got != "20260805T093001Z-nogit.json" {
+	if got := historyFileName(r); got != "20260805T093001Z-nogit.json" {
 		t.Errorf("no-git name = %q", got)
 	}
 }

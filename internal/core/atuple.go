@@ -43,21 +43,16 @@ func AlgorithmATuple(g *graph.Graph, attackers, k int, p cover.Partition) (Tuple
 // the Corollary 4.11 partition exactly (cover.FindNEPartition) and runs
 // Algorithm A_tuple, returning ErrNoMatchingNE when no partition exists.
 // The blossom maximum matching makes it O(n^3); the max{O(k·n), O(m√n)}
-// pipeline of Theorem 5.1 is the sparse SolveKMatchingCSR.
+// pipeline of Theorem 5.1 is the sparse SolveKMatchingCSR. The blossom run
+// is the span "matching.maximum", the partition plus construction the span
+// "core.solve_tuple".
 func SolveTupleModel(g *graph.Graph, attackers, k int) (TupleEquilibrium, error) {
-	return SolveTupleModelCtx(context.Background(), g, attackers, k)
+	return solveTupleModel(context.Background(), g, matching.Maximum(g), attackers, k)
 }
 
-// SolveTupleModelCtx is SolveTupleModel under ctx's trace: the blossom
-// run is the span "matching.maximum", and the partition plus
-// construction is timed as the span "core.solve_tuple", both nested under
-// the caller's span when ctx carries one.
-func SolveTupleModelCtx(ctx context.Context, g *graph.Graph, attackers, k int) (TupleEquilibrium, error) {
-	return solveTupleModel(ctx, g, matching.MaximumCtx(ctx, g), attackers, k)
-}
-
-// solveTupleModel is SolveTupleModelCtx over a maximum matching mate of
-// g (cover.FindNEPartitionFromMatching).
+// solveTupleModel is SolveTupleModel over a maximum matching mate of g
+// (cover.FindNEPartitionFromMatching), timed as the span "core.solve_tuple"
+// under ctx's trace.
 func solveTupleModel(ctx context.Context, g *graph.Graph, mate []int, attackers, k int) (TupleEquilibrium, error) {
 	sp, _ := obs.Default().StartSpanCtx(ctx, "core.solve_tuple")
 	sp.Annotate("k", strconv.Itoa(k))

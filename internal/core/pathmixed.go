@@ -28,10 +28,10 @@ import (
 // ErrTooManyPaths is returned when path enumeration exceeds its cap.
 var ErrTooManyPaths = errors.New("core: too many simple paths to enumerate")
 
-// EnumerateKEdgePaths lists every simple path with exactly k edges as a
+// enumerateKEdgePaths lists every simple path with exactly k edges as a
 // vertex sequence (deduplicated up to reversal), stopping with
 // ErrTooManyPaths beyond cap paths (pass 0 for the default of 100000).
-func EnumerateKEdgePaths(g *graph.Graph, k, cap int) ([][]int, error) {
+func enumerateKEdgePaths(g *graph.Graph, k, cap int) ([][]int, error) {
 	if cap <= 0 {
 		cap = 100_000
 	}
@@ -79,8 +79,8 @@ func EnumerateKEdgePaths(g *graph.Graph, k, cap int) ([][]int, error) {
 	return out, nil
 }
 
-// PathAsTuple converts a vertex sequence into the tuple of its edges.
-func PathAsTuple(g *graph.Graph, path []int) (game.Tuple, error) {
+// pathAsTuple converts a vertex sequence into the tuple of its edges.
+func pathAsTuple(g *graph.Graph, path []int) (game.Tuple, error) {
 	if len(path) < 2 {
 		return game.Tuple{}, fmt.Errorf("core: path %v too short", path)
 	}
@@ -121,7 +121,7 @@ func VerifyPathNE(gm *game.Game, mp game.MixedProfile) error {
 		}
 	}
 
-	paths, err := EnumerateKEdgePaths(g, gm.K(), 0)
+	paths, err := enumerateKEdgePaths(g, gm.K(), 0)
 	if err != nil {
 		return err
 	}
@@ -129,7 +129,7 @@ func VerifyPathNE(gm *game.Game, mp game.MixedProfile) error {
 	maxLoad := new(big.Rat)
 	pathKeys := make(map[string]bool, len(paths))
 	for _, p := range paths {
-		t, err := PathAsTuple(g, p)
+		t, err := pathAsTuple(g, p)
 		if err != nil {
 			return err
 		}
@@ -183,7 +183,7 @@ func CyclePathNE(g *graph.Graph, attackers, k int) (TupleEquilibrium, error) {
 		for j := 0; j <= k; j++ {
 			path[j] = order[(s+j)%n]
 		}
-		t, err := PathAsTuple(g, path)
+		t, err := pathAsTuple(g, path)
 		if err != nil {
 			return TupleEquilibrium{}, err
 		}

@@ -27,7 +27,7 @@ func TestEnumerateKEdgePathsCounts(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			paths, err := EnumerateKEdgePaths(tt.g, tt.k, 0)
+			paths, err := enumerateKEdgePaths(tt.g, tt.k, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,27 +44,27 @@ func TestEnumerateKEdgePathsCounts(t *testing.T) {
 }
 
 func TestEnumerateKEdgePathsCap(t *testing.T) {
-	if _, err := EnumerateKEdgePaths(graph.Complete(10), 5, 50); !errors.Is(err, ErrTooManyPaths) {
+	if _, err := enumerateKEdgePaths(graph.Complete(10), 5, 50); !errors.Is(err, ErrTooManyPaths) {
 		t.Errorf("err = %v, want ErrTooManyPaths", err)
 	}
-	if _, err := EnumerateKEdgePaths(graph.Path(3), 0, 0); err == nil {
+	if _, err := enumerateKEdgePaths(graph.Path(3), 0, 0); err == nil {
 		t.Error("k=0 must fail")
 	}
 }
 
 func TestPathAsTuple(t *testing.T) {
 	g := graph.Cycle(5)
-	tp, err := PathAsTuple(g, []int{0, 1, 2})
+	tp, err := pathAsTuple(g, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tp.Size() != 2 {
 		t.Errorf("size = %d", tp.Size())
 	}
-	if _, err := PathAsTuple(g, []int{0, 2}); err == nil {
+	if _, err := pathAsTuple(g, []int{0, 2}); err == nil {
 		t.Error("non-edge hop must fail")
 	}
-	if _, err := PathAsTuple(g, []int{0}); err == nil {
+	if _, err := pathAsTuple(g, []int{0}); err == nil {
 		t.Error("single vertex must fail")
 	}
 }

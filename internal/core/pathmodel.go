@@ -36,14 +36,14 @@ func HasPurePathNE(g *graph.Graph, k int) (exists bool, path []int, err error) {
 		// no pure NE, by the fleeing argument.
 		return false, nil, nil
 	}
-	return HamiltonianPath(g)
+	return hamiltonianPath(g)
 }
 
-// HamiltonianPath decides whether g has a Hamiltonian path and returns one
+// hamiltonianPath decides whether g has a Hamiltonian path and returns one
 // if so, using the Held–Karp dynamic program over subsets: reach[mask][v]
 // is true when the vertices of mask can be ordered into a simple path
 // ending at v. O(2^n · n^2) time, n <= 24.
-func HamiltonianPath(g *graph.Graph) (bool, []int, error) {
+func hamiltonianPath(g *graph.Graph) (bool, []int, error) {
 	n := g.NumVertices()
 	if n > maxHamiltonianVertices {
 		return false, nil, fmt.Errorf("%w: n=%d > %d", ErrPathTooLarge, n, maxHamiltonianVertices)

@@ -43,9 +43,9 @@ func TestHamiltonianPathPositive(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			ok, path, err := HamiltonianPath(tt.g)
+			ok, path, err := hamiltonianPath(tt.g)
 			if err != nil {
-				t.Fatalf("HamiltonianPath: %v", err)
+				t.Fatalf("hamiltonianPath: %v", err)
 			}
 			if !ok {
 				t.Fatal("Hamiltonian path must exist")
@@ -67,9 +67,9 @@ func TestHamiltonianPathNegative(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			ok, _, err := HamiltonianPath(tt.g)
+			ok, _, err := hamiltonianPath(tt.g)
 			if err != nil {
-				t.Fatalf("HamiltonianPath: %v", err)
+				t.Fatalf("hamiltonianPath: %v", err)
 			}
 			if ok {
 				t.Fatal("no Hamiltonian path should exist")
@@ -92,15 +92,15 @@ func spiderGraph(t *testing.T) *graph.Graph {
 }
 
 func TestHamiltonianPathEdgeCases(t *testing.T) {
-	ok, path, err := HamiltonianPath(graph.New(1))
+	ok, path, err := hamiltonianPath(graph.New(1))
 	if err != nil || !ok || len(path) != 1 {
 		t.Errorf("singleton: ok=%v path=%v err=%v", ok, path, err)
 	}
-	ok, _, err = HamiltonianPath(graph.New(0))
+	ok, _, err = hamiltonianPath(graph.New(0))
 	if err != nil || ok {
 		t.Errorf("empty: ok=%v err=%v", ok, err)
 	}
-	if _, _, err := HamiltonianPath(graph.Grid(5, 5)); !errors.Is(err, ErrPathTooLarge) {
+	if _, _, err := hamiltonianPath(graph.Grid(5, 5)); !errors.Is(err, ErrPathTooLarge) {
 		t.Errorf("n=25: err = %v, want ErrPathTooLarge", err)
 	}
 }

@@ -25,18 +25,6 @@ func (ne TupleEquilibrium) ProtectionRatio() *big.Rat {
 	return new(big.Rat).Quo(ne.DefenderGain(), new(big.Rat).SetInt64(int64(ne.Game.Attackers())))
 }
 
-// Escapes is the Edge-model analogue of TupleEquilibrium.Escapes.
-func (ne EdgeEquilibrium) Escapes() *big.Rat {
-	nu := new(big.Rat).SetInt64(int64(ne.Game.Attackers()))
-	return nu.Sub(nu, ne.DefenderGain())
-}
-
-// ProtectionRatio is the Edge-model analogue of
-// TupleEquilibrium.ProtectionRatio (= 1/|IS| for matching equilibria).
-func (ne EdgeEquilibrium) ProtectionRatio() *big.Rat {
-	return new(big.Rat).Quo(ne.DefenderGain(), new(big.Rat).SetInt64(int64(ne.Game.Attackers())))
-}
-
 // MaxminGuarantee computes the best expected catch count a defender can
 // GUARANTEE in Π_k(G) against ν fully adversarial attackers: ν times the
 // single-attacker minimax value (each attacker independently faces the

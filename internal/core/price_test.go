@@ -89,3 +89,15 @@ func TestMaxminGuaranteeOnNonMatchingGraphs(t *testing.T) {
 		t.Error("oversized tuple space must fail")
 	}
 }
+
+// Escapes is the Edge-model analogue of TupleEquilibrium.Escapes.
+func (ne EdgeEquilibrium) Escapes() *big.Rat {
+	nu := new(big.Rat).SetInt64(int64(ne.Game.Attackers()))
+	return nu.Sub(nu, ne.DefenderGain())
+}
+
+// ProtectionRatio is the Edge-model analogue of
+// TupleEquilibrium.ProtectionRatio (= 1/|IS| for matching equilibria).
+func (ne EdgeEquilibrium) ProtectionRatio() *big.Rat {
+	return new(big.Rat).Quo(ne.DefenderGain(), new(big.Rat).SetInt64(int64(ne.Game.Attackers())))
+}

@@ -20,13 +20,6 @@ func HasPureNE(g *graph.Graph, k int) (bool, error) {
 	return cover.HasEdgeCoverOfSize(g, k)
 }
 
-// NoPureNEByCorollary33 applies the counting bound of Corollary 3.3:
-// whenever n >= 2k+1, every edge cover exceeds k edges, so no pure NE
-// exists. This is a sufficient condition only — a cheap pre-check.
-func NoPureNEByCorollary33(g *graph.Graph, k int) bool {
-	return g.NumVertices() >= 2*k+1
-}
-
 // BuildPureNE constructs the pure equilibrium of Theorem 3.1's forward
 // direction: the defender plays an edge cover of size k (so every vertex is
 // scanned and every attacker is caught wherever it stands); attackers place

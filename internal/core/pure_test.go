@@ -280,3 +280,10 @@ func TestPropertyBuildPureNEIsNE(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// NoPureNEByCorollary33 applies the counting bound of Corollary 3.3:
+// whenever n >= 2k+1, every edge cover exceeds k edges, so no pure NE
+// exists. This is a sufficient condition only — a cheap pre-check.
+func NoPureNEByCorollary33(g *graph.Graph, k int) bool {
+	return g.NumVertices() >= 2*k+1
+}

@@ -64,14 +64,7 @@ func (ne *SparseEquilibrium) HitProbability() *big.Rat {
 	return big.NewRat(int64(ne.K), int64(len(ne.EdgeU)))
 }
 
-// Multiplicity returns how many support tuples each support edge belongs
-// to: k·δ / |E(D(tp))| with δ = |D(tp)| (Claim 4.9). O(1), does not
-// allocate.
-func (ne *SparseEquilibrium) Multiplicity() int {
-	return ne.K * len(ne.Tuples) / len(ne.EdgeU)
-}
-
-// AlgorithmACSR runs step 1–2 of Algorithm A_tuple on the sparse path:
+// algorithmACSR runs step 1–2 of Algorithm A_tuple on the sparse path:
 // given a validated partition it assembles the edge-player support of
 // Algorithm A — one edge (v, Rep[v]) per VC vertex, then one arbitrary
 // incident edge per unused IS vertex — in the exact labeling order the
@@ -79,14 +72,14 @@ func (ne *SparseEquilibrium) Multiplicity() int {
 // the two paths are differentially comparable. Every support edge touches
 // exactly one IS vertex and each IS vertex exactly one support edge.
 // O(n + m); allocates the endpoint slices and a bitset.
-func AlgorithmACSR(c *graph.CSR, p cover.PartitionCSR) (us, vs []int32, err error) {
+func algorithmACSR(c *graph.CSR, p cover.PartitionCSR) (us, vs []int32, err error) {
 	if err := p.Validate(c); err != nil {
 		return nil, nil, fmt.Errorf("core: algorithm A csr: %w", err)
 	}
 	return algorithmACSRTrusted(c, p)
 }
 
-// algorithmACSRTrusted is AlgorithmACSR minus the partition re-check —
+// algorithmACSRTrusted is algorithmACSR minus the partition re-check —
 // the internal entry for pipelines whose partition was just validated by
 // the search that produced it (partitionFromRepMatching always
 // validates), so the end-to-end solve audits each invariant once instead
@@ -141,7 +134,7 @@ func algorithmATupleCSRCtx(ctx context.Context, c *graph.CSR, attackers, k int, 
 	if attackers < 1 {
 		return nil, fmt.Errorf("core: algorithm A_tuple csr: attackers=%d, want >= 1", attackers)
 	}
-	builder := AlgorithmACSR
+	builder := algorithmACSR
 	if trusted {
 		builder = algorithmACSRTrusted
 	}
@@ -183,16 +176,11 @@ func algorithmATupleCSRCtx(ctx context.Context, c *graph.CSR, attackers, k int, 
 // (cover.FindNEPartitionCSR), then Algorithm A_tuple. For bipartite
 // graphs this is the Theorem 5.1 pipeline at max{O(k·n), O(m√n)} — the
 // single-digit-seconds route for 10^6-vertex instances. Allocates the
-// equilibrium and the partition scratch.
+// equilibrium and the partition scratch. The whole pipeline is timed as the
+// span "core.solve_sparse" with the construction nested beneath it as
+// "core.atuple_csr".
 func SolveKMatchingCSR(c *graph.CSR, attackers, k int) (*SparseEquilibrium, error) {
-	return SolveKMatchingCSRCtx(context.Background(), c, attackers, k)
-}
-
-// SolveKMatchingCSRCtx is SolveKMatchingCSR under ctx's trace: the whole
-// sparse pipeline is timed as the span "core.solve_sparse" with the
-// construction nested beneath it as "core.atuple_csr".
-func SolveKMatchingCSRCtx(ctx context.Context, c *graph.CSR, attackers, k int) (*SparseEquilibrium, error) {
-	sp, ctx := obs.Default().StartSpanCtx(ctx, "core.solve_sparse")
+	sp, ctx := obs.Default().StartSpanCtx(context.Background(), "core.solve_sparse")
 	sp.Annotate("k", strconv.Itoa(k))
 	sp.Annotate("n", strconv.Itoa(c.NumVertices()))
 	defer sp.End()
@@ -544,32 +532,6 @@ func VerifyKMatchingCSR(ne *SparseEquilibrium) error {
 	}
 	obsCSRVerifications.Inc()
 	return nil
-}
-
-// ToTupleEquilibrium expands the sparse equilibrium into the dense
-// TupleEquilibrium form, materializing the game.Game — the bridge the
-// differential tests use to replay a sparse solve through
-// BuildKMatchingNE and VerifyCharacterization. Θ(n·m) game tables: small
-// graphs only, never the 10^6-vertex path. Allocates the full game.
-func (ne *SparseEquilibrium) ToTupleEquilibrium() (TupleEquilibrium, error) {
-	g := ne.C.ToGraph()
-	vp := make([]int, len(ne.VPSupport))
-	for i, v := range ne.VPSupport {
-		vp[i] = int(v)
-	}
-	tuples := make([]game.Tuple, len(ne.Tuples))
-	for i, t := range ne.Tuples {
-		edges := make([]graph.Edge, len(t))
-		for j, id := range t {
-			edges[j] = graph.NewEdge(int(ne.EdgeU[id]), int(ne.EdgeV[id]))
-		}
-		tuple, err := game.NewTuple(g, edges)
-		if err != nil {
-			return TupleEquilibrium{}, fmt.Errorf("core: sparse tuple %d: %w", i, err)
-		}
-		tuples[i] = tuple
-	}
-	return BuildKMatchingNE(g, ne.Attackers, ne.K, vp, tuples)
 }
 
 // SolveKMatchingCSRVerified is the scaling pipeline's entry point: solve

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/defender-game/defender/internal/cover"
+	"github.com/defender-game/defender/internal/game"
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/matching"
 	"github.com/defender-game/defender/internal/obs"
@@ -179,4 +181,37 @@ func TestSolveKMatchingCSRAfterRho(t *testing.T) {
 	if rho := c.NumVertices() - matching.SizeCSR(mate); len(ne.VPSupport) != rho {
 		t.Errorf("|IS| = %d, want ρ(G) = %d", len(ne.VPSupport), rho)
 	}
+}
+
+// Multiplicity returns how many support tuples each support edge belongs
+// to: k·δ / |E(D(tp))| with δ = |D(tp)| (Claim 4.9). O(1), does not
+// allocate.
+func (ne *SparseEquilibrium) Multiplicity() int {
+	return ne.K * len(ne.Tuples) / len(ne.EdgeU)
+}
+
+// ToTupleEquilibrium expands the sparse equilibrium into the dense
+// TupleEquilibrium form, materializing the game.Game — the bridge the
+// differential tests use to replay a sparse solve through
+// BuildKMatchingNE and VerifyCharacterization. Θ(n·m) game tables: small
+// graphs only, never the 10^6-vertex path. Allocates the full game.
+func (ne *SparseEquilibrium) ToTupleEquilibrium() (TupleEquilibrium, error) {
+	g := ne.C.ToGraph()
+	vp := make([]int, len(ne.VPSupport))
+	for i, v := range ne.VPSupport {
+		vp[i] = int(v)
+	}
+	tuples := make([]game.Tuple, len(ne.Tuples))
+	for i, t := range ne.Tuples {
+		edges := make([]graph.Edge, len(t))
+		for j, id := range t {
+			edges[j] = graph.NewEdge(int(ne.EdgeU[id]), int(ne.EdgeV[id]))
+		}
+		tuple, err := game.NewTuple(g, edges)
+		if err != nil {
+			return TupleEquilibrium{}, fmt.Errorf("core: sparse tuple %d: %w", i, err)
+		}
+		tuples[i] = tuple
+	}
+	return BuildKMatchingNE(g, ne.Attackers, ne.K, vp, tuples)
 }

@@ -15,9 +15,8 @@ import (
 	"github.com/defender-game/defender/internal/obs"
 )
 
-// Edge-cover build counter (catalogued in OBSERVABILITY.md). Compared
-// against experiments.cache.cover.misses it shows how many cover builds
-// the structure cache is absorbing.
+// Edge-cover build counter (catalogued in OBSERVABILITY.md): one per
+// minimum edge cover extended from a maximum matching.
 var obsEdgeCoversBuilt = obs.Default().Counter("cover.edge_covers_built")
 
 // Sentinel errors for cover computations.
@@ -29,7 +28,8 @@ var (
 	// expander partition exists (so no k-matching equilibrium exists).
 	ErrNoPartition = errors.New("cover: no matching-equilibrium partition exists")
 	// ErrPartitionNotFound is returned when the sparse greedy search
-	// (FindNEPartitionGreedyCSR) gives up without proving non-existence.
+	// (FindNEPartitionCSR on a non-bipartite graph) gives up without proving
+	// non-existence.
 	ErrPartitionNotFound = errors.New("cover: heuristic search found no matching-equilibrium partition")
 	// ErrTooLarge is returned by exact (exponential) procedures invoked on
 	// graphs beyond their configured size limit.
@@ -65,30 +65,29 @@ func IsEdgeCover(g *graph.Graph, edges []graph.Edge) bool {
 // O(n^3) (blossom-dominated); allocates the cover and the matching state.
 // Sparse path: cover.MinimumEdgeCoverCSRFromMatching.
 func MinimumEdgeCover(g *graph.Graph) ([]graph.Edge, error) {
-	return MinimumEdgeCoverCtx(context.Background(), g)
+	return minimumEdgeCover(context.Background(), g)
 }
 
-// MinimumEdgeCoverCtx is MinimumEdgeCover under ctx's trace: the
+// minimumEdgeCover is MinimumEdgeCover under ctx's trace: the
 // Gallai-identity construction (blossom matching + Norman–Rabin
 // extension) is timed as the span "cover.gallai" (histogram
 // cover.gallai.seconds), with the blossom leg visible inside it as
 // "matching.maximum".
-func MinimumEdgeCoverCtx(ctx context.Context, g *graph.Graph) ([]graph.Edge, error) {
+func minimumEdgeCover(ctx context.Context, g *graph.Graph) ([]graph.Edge, error) {
 	sp, ctx := obs.Default().StartSpanCtx(ctx, "cover.gallai")
 	defer sp.End()
 	if g.HasIsolatedVertex() {
 		return nil, ErrIsolatedVertex
 	}
-	return MinimumEdgeCoverFromMatching(g, matching.MaximumCtx(ctx, g))
+	return minimumEdgeCoverFromMatching(g, matching.MaximumCtx(ctx, g))
 }
 
-// MinimumEdgeCoverFromMatching extends an already-computed maximum matching
+// minimumEdgeCoverFromMatching extends an already-computed maximum matching
 // of g (as a mate array) into a minimum edge cover, skipping the blossom
-// recomputation — the cache-friendly entry point for callers that memoize
-// the matching. mate must be a maximum matching of g (Gallai's identity
+// recomputation, for callers that already hold the matching. mate must be a maximum matching of g (Gallai's identity
 // only holds then) and g must have no isolated vertex. O(n + m);
 // allocates the cover list and per-vertex neighbor copies.
-func MinimumEdgeCoverFromMatching(g *graph.Graph, mate []int) ([]graph.Edge, error) {
+func minimumEdgeCoverFromMatching(g *graph.Graph, mate []int) ([]graph.Edge, error) {
 	if g.HasIsolatedVertex() {
 		return nil, ErrIsolatedVertex
 	}
@@ -115,10 +114,10 @@ func EdgeCoverNumber(g *graph.Graph) (int, error) {
 	return EdgeCoverNumberCtx(context.Background(), g)
 }
 
-// EdgeCoverNumberCtx is EdgeCoverNumber with ctx threaded through to
-// MinimumEdgeCoverCtx for trace correlation.
+// EdgeCoverNumberCtx is EdgeCoverNumber under ctx's trace: the cover is
+// built inside the span "cover.gallai".
 func EdgeCoverNumberCtx(ctx context.Context, g *graph.Graph) (int, error) {
-	ec, err := MinimumEdgeCoverCtx(ctx, g)
+	ec, err := minimumEdgeCover(ctx, g)
 	if err != nil {
 		return 0, err
 	}
@@ -172,18 +171,6 @@ func EdgeCoverOfSize(g *graph.Graph, k int) ([]graph.Edge, error) {
 		}
 	}
 	return ec, nil
-}
-
-// IsVertexCover reports whether vs covers every edge of g. O(n + m);
-// allocates a membership bitmap and the edge-list copy.
-func IsVertexCover(g *graph.Graph, vs []int) bool {
-	member := membership(g.NumVertices(), vs)
-	for _, e := range g.Edges() {
-		if !member[e.U] && !member[e.V] {
-			return false
-		}
-	}
-	return true
 }
 
 // IsVertexCoverOfEdges reports whether vs covers every edge in the list,

@@ -270,7 +270,7 @@ func TestMinimumEdgeCoverFromMatching(t *testing.T) {
 		graph.Cycle(7), graph.Path(6), graph.Star(5), graph.Petersen(),
 	} {
 		mate := matching.Maximum(g)
-		ec, err := MinimumEdgeCoverFromMatching(g, mate)
+		ec, err := minimumEdgeCoverFromMatching(g, mate)
 		if err != nil {
 			t.Fatalf("from matching: %v", err)
 		}
@@ -287,14 +287,26 @@ func TestMinimumEdgeCoverFromMatching(t *testing.T) {
 
 func TestMinimumEdgeCoverFromMatchingRejectsBadInput(t *testing.T) {
 	g := graph.Cycle(6)
-	if _, err := MinimumEdgeCoverFromMatching(g, make([]int, 2)); err == nil {
+	if _, err := minimumEdgeCoverFromMatching(g, make([]int, 2)); err == nil {
 		t.Error("want error for a mate array of the wrong length")
 	}
 	iso := graph.New(3)
 	if err := iso.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MinimumEdgeCoverFromMatching(iso, matching.Maximum(iso)); err == nil {
+	if _, err := minimumEdgeCoverFromMatching(iso, matching.Maximum(iso)); err == nil {
 		t.Error("want ErrIsolatedVertex")
 	}
+}
+
+// IsVertexCover reports whether vs covers every edge of g. O(n + m);
+// allocates a membership bitmap and the edge-list copy.
+func IsVertexCover(g *graph.Graph, vs []int) bool {
+	member := membership(g.NumVertices(), vs)
+	for _, e := range g.Edges() {
+		if !member[e.U] && !member[e.V] {
+			return false
+		}
+	}
+	return true
 }

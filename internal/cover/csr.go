@@ -79,7 +79,7 @@ func (p PartitionCSR) Validate(c *graph.CSR) error {
 
 // MinimumEdgeCoverCSRFromMatching extends a maximum matching of c (as an
 // int32 mate array) into a minimum edge cover by Gallai's identity
-// rho = n - mu, exactly like MinimumEdgeCoverFromMatching but on the
+// rho = n - mu, exactly like the dense MinimumEdgeCover but on the
 // sparse path: matching edges first, then one arbitrary incident edge per
 // unmatched vertex. The cover is returned as parallel endpoint slices.
 // Returns ErrIsolatedVertex when some vertex has degree 0. O(n + m);
@@ -111,7 +111,7 @@ func MinimumEdgeCoverCSRFromMatching(c *graph.CSR, mate []int32) (us, vs []int32
 	return us, vs, nil
 }
 
-// FindNEPartitionGreedyCSR tries deterministic greedy maximal independent
+// findNEPartitionGreedyCSR tries deterministic greedy maximal independent
 // sets (natural and ascending-degree vertex orders) and keeps the first
 // complement that admits a system of distinct representatives, decided by
 // a subgraph Hopcroft–Karp between VC and IS. It cannot prove
@@ -119,7 +119,7 @@ func MinimumEdgeCoverCSRFromMatching(c *graph.CSR, mate []int32) (us, vs []int32
 // route for non-bipartite graphs, where no polynomial guarantee exists
 // (see SCALING.md "Routing"). O(tries · m sqrt n); allocates per-try
 // scratch.
-func FindNEPartitionGreedyCSR(c *graph.CSR) (PartitionCSR, error) {
+func findNEPartitionGreedyCSR(c *graph.CSR) (PartitionCSR, error) {
 	if c.HasIsolatedVertex() {
 		return PartitionCSR{}, ErrIsolatedVertex
 	}
@@ -130,7 +130,7 @@ func FindNEPartitionGreedyCSR(c *graph.CSR) (PartitionCSR, error) {
 	}
 	ascending := sortedByDegreeCSR(c)
 	for _, order := range [][]int32{natural, ascending} {
-		is := GreedyIndependentSetCSR(c, order)
+		is := greedyIndependentSetCSR(c, order)
 		side := make([]int8, n) // 0 = VC (left), 1 = IS (right)
 		for _, v := range is {
 			side[v] = 1
@@ -178,16 +178,16 @@ func FindNEPartitionCSR(c *graph.CSR) (PartitionCSR, error) {
 	}
 	mate, side, err := matching.MaximumBipartiteCSR(c)
 	if err != nil {
-		return FindNEPartitionGreedyCSR(c)
+		return findNEPartitionGreedyCSR(c)
 	}
 	vc := matching.KonigVertexCoverCSR(c, side, mate)
 	return partitionFromRepMatching(c, vc, mate)
 }
 
-// GreedyIndependentSetCSR returns a maximal independent set built by
+// greedyIndependentSetCSR returns a maximal independent set built by
 // scanning vertices in the given order, ascending. O(n + m); allocates the set, a blocked bitset,
 // and the sort scratch.
-func GreedyIndependentSetCSR(c *graph.CSR, order []int32) []int32 {
+func greedyIndependentSetCSR(c *graph.CSR, order []int32) []int32 {
 	n := c.NumVertices()
 	blocked := graph.GetBitset(n)
 	defer graph.PutBitset(blocked)

@@ -118,7 +118,7 @@ func TestGreedyIndependentSetCSRIsMaximalIndependent(t *testing.T) {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	is := GreedyIndependentSetCSR(c, order)
+	is := greedyIndependentSetCSR(c, order)
 	member := graph.NewBitset(c.NumVertices())
 	for _, v := range is {
 		member.Set(v)

@@ -1,8 +1,6 @@
 package cover
 
 import (
-	"math/bits"
-
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/matching"
 )
@@ -13,16 +11,8 @@ import (
 // 4.11) actually require the stronger, IS-restricted condition
 // |X| <= |Neigh_G(X) ∩ IS| for every X ⊆ VC, which by Hall's theorem is
 // equivalent to a system of distinct representatives for VC inside IS.
-// Both variants are provided; see DESIGN.md §1 for the discrepancy note.
-
-// IsExpanderSet decides the literal S-expander condition: every X ⊆ s has
-// at least |X| distinct neighbors anywhere in V. On failure it returns a
-// concrete violating subset. O(|s| · m) via Kuhn SDR; allocates the
-// search scratch of matching.Representatives.
-func IsExpanderSet(g *graph.Graph, s []int) (bool, []int) {
-	_, violator := matching.Representatives(g, s, nil)
-	return violator == nil, violator
-}
+// The solver uses the IS-restricted condition (IsNEExpander); the literal
+// one is a test oracle. See DESIGN.md §1 for the discrepancy note.
 
 // IsNEExpander decides the equilibrium-relevant condition for a partition
 // (is, vc): every X ⊆ vc has at least |X| distinct neighbors inside is.
@@ -34,58 +24,4 @@ func IsExpanderSet(g *graph.Graph, s []int) (bool, []int) {
 func IsNEExpander(g *graph.Graph, is, vc []int) (rep map[int]int, violator []int) {
 	member := membership(g.NumVertices(), is)
 	return matching.Representatives(g, vc, func(v int) bool { return member[v] })
-}
-
-// ExpanderBruteForce checks the literal S-expander condition by enumerating
-// all 2^|s| subsets. It is the test oracle for IsExpanderSet and is limited
-// to |s| <= 24 (ErrTooLarge beyond that). O(2^|s| · |s| · Δ); allocates
-// the stamp array and any returned violator.
-func ExpanderBruteForce(g *graph.Graph, s []int) (bool, []int, error) {
-	s = graph.NormalizeSet(s)
-	if len(s) > 24 {
-		return false, nil, ErrTooLarge
-	}
-	return expanderBruteForce(g, s, nil)
-}
-
-// NEExpanderBruteForce is the exponential oracle for IsNEExpander.
-// O(2^|vc| · |vc| · Δ), capped at |vc| <= 24 (ErrTooLarge beyond);
-// allocates the membership bitmap and stamp array.
-func NEExpanderBruteForce(g *graph.Graph, is, vc []int) (bool, []int, error) {
-	vc = graph.NormalizeSet(vc)
-	if len(vc) > 24 {
-		return false, nil, ErrTooLarge
-	}
-	member := membership(g.NumVertices(), is)
-	return expanderBruteForce(g, vc, member)
-}
-
-// expanderBruteForce enumerates every subset X of s and counts the distinct
-// neighbors of X (restricted to restrict when non-nil).
-func expanderBruteForce(g *graph.Graph, s []int, restrict []bool) (bool, []int, error) {
-	n := g.NumVertices()
-	seen := make([]int, n) // stamped with the subset index to avoid clearing
-	for i := range seen {
-		seen[i] = -1
-	}
-	for mask := 1; mask < 1<<uint(len(s)); mask++ {
-		count := 0
-		for m := mask; m != 0; m &= m - 1 {
-			v := s[bits.TrailingZeros(uint(m))]
-			g.EachNeighbor(v, func(u int) {
-				if seen[u] != mask && (restrict == nil || restrict[u]) {
-					seen[u] = mask
-					count++
-				}
-			})
-		}
-		if count < bits.OnesCount(uint(mask)) {
-			var violator []int
-			for m := mask; m != 0; m &= m - 1 {
-				violator = append(violator, s[bits.TrailingZeros(uint(m))])
-			}
-			return false, violator, nil
-		}
-	}
-	return true, nil, nil
 }

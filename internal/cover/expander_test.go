@@ -1,11 +1,13 @@
 package cover
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/matching"
 )
 
 func TestIsExpanderSetLiteralTriangle(t *testing.T) {
@@ -165,4 +167,67 @@ func TestPropertyViolatorCertificates(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
+}
+
+// IsExpanderSet decides the literal S-expander condition: every X ⊆ s has
+// at least |X| distinct neighbors anywhere in V. On failure it returns a
+// concrete violating subset. O(|s| · m) via Kuhn SDR; allocates the
+// search scratch of matching.Representatives.
+func IsExpanderSet(g *graph.Graph, s []int) (bool, []int) {
+	_, violator := matching.Representatives(g, s, nil)
+	return violator == nil, violator
+}
+
+// ExpanderBruteForce checks the literal S-expander condition by enumerating
+// all 2^|s| subsets. It is the test oracle for IsExpanderSet and is limited
+// to |s| <= 24 (ErrTooLarge beyond that). O(2^|s| · |s| · Δ); allocates
+// the stamp array and any returned violator.
+func ExpanderBruteForce(g *graph.Graph, s []int) (bool, []int, error) {
+	s = graph.NormalizeSet(s)
+	if len(s) > 24 {
+		return false, nil, ErrTooLarge
+	}
+	return expanderBruteForce(g, s, nil)
+}
+
+// NEExpanderBruteForce is the exponential oracle for IsNEExpander.
+// O(2^|vc| · |vc| · Δ), capped at |vc| <= 24 (ErrTooLarge beyond);
+// allocates the membership bitmap and stamp array.
+func NEExpanderBruteForce(g *graph.Graph, is, vc []int) (bool, []int, error) {
+	vc = graph.NormalizeSet(vc)
+	if len(vc) > 24 {
+		return false, nil, ErrTooLarge
+	}
+	member := membership(g.NumVertices(), is)
+	return expanderBruteForce(g, vc, member)
+}
+
+// expanderBruteForce enumerates every subset X of s and counts the distinct
+// neighbors of X (restricted to restrict when non-nil).
+func expanderBruteForce(g *graph.Graph, s []int, restrict []bool) (bool, []int, error) {
+	n := g.NumVertices()
+	seen := make([]int, n) // stamped with the subset index to avoid clearing
+	for i := range seen {
+		seen[i] = -1
+	}
+	for mask := 1; mask < 1<<uint(len(s)); mask++ {
+		count := 0
+		for m := mask; m != 0; m &= m - 1 {
+			v := s[bits.TrailingZeros(uint(m))]
+			g.EachNeighbor(v, func(u int) {
+				if seen[u] != mask && (restrict == nil || restrict[u]) {
+					seen[u] = mask
+					count++
+				}
+			})
+		}
+		if count < bits.OnesCount(uint(mask)) {
+			var violator []int
+			for m := mask; m != 0; m &= m - 1 {
+				violator = append(violator, s[bits.TrailingZeros(uint(m))])
+			}
+			return false, violator, nil
+		}
+	}
+	return true, nil, nil
 }

@@ -131,7 +131,7 @@ func partitionFromMatching(g *graph.Graph, mate []int) (Partition, error) {
 // *maximal* independent set satisfying the NE-expander condition — each
 // gives rise to a distinct family of k-matching equilibria (different
 // attacker supports). Enumeration stops early when visit returns false.
-// Shares EnumerateMaximalIndependentSets' n <= 64 limit; exponential in
+// Shares enumerateMaximalIndependentSets' n <= 64 limit; exponential in
 // the worst case.
 //
 // Note this intentionally enumerates only maximal independent sets: any
@@ -142,7 +142,7 @@ func partitionFromMatching(g *graph.Graph, mate []int) (Partition, error) {
 // FindNEPartition does; the tests use it as FindNEPartition's oracle.
 func EnumerateNEPartitions(g *graph.Graph, visit func(Partition) bool) error {
 	n := g.NumVertices()
-	return EnumerateMaximalIndependentSets(g, func(is []int) bool {
+	return enumerateMaximalIndependentSets(g, func(is []int) bool {
 		vc := graph.SetComplement(is, n)
 		rep, _ := IsNEExpander(g, is, vc)
 		if rep == nil {
@@ -160,13 +160,13 @@ func CountNEPartitions(g *graph.Graph) (int, error) {
 	return count, err
 }
 
-// EnumerateMaximalIndependentSets runs Bron–Kerbosch with pivoting on the
+// enumerateMaximalIndependentSets runs Bron–Kerbosch with pivoting on the
 // complement graph, invoking visit for every maximal independent set (as a
 // sorted vertex list). Enumeration stops early when visit returns false.
 // Limited to n <= 64 vertices (bitmask representation); returns ErrTooLarge
 // beyond that. O(3^(n/3)) worst case; allocates the complement masks and
 // one sorted slice per visited set.
-func EnumerateMaximalIndependentSets(g *graph.Graph, visit func(is []int) bool) error {
+func enumerateMaximalIndependentSets(g *graph.Graph, visit func(is []int) bool) error {
 	n := g.NumVertices()
 	if n > 64 {
 		return fmt.Errorf("%w: n=%d > 64", ErrTooLarge, n)

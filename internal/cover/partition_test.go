@@ -309,7 +309,7 @@ func TestPartitionValidateRejectsBadPartitions(t *testing.T) {
 func TestEnumerateMaximalIndependentSets(t *testing.T) {
 	// C5 has exactly 5 maximal independent sets (the 5 "diagonal pairs").
 	var count int
-	err := EnumerateMaximalIndependentSets(graph.Cycle(5), func(is []int) bool {
+	err := enumerateMaximalIndependentSets(graph.Cycle(5), func(is []int) bool {
 		count++
 		if !IsIndependentSet(graph.Cycle(5), is) {
 			t.Fatalf("%v not independent", is)
@@ -327,7 +327,7 @@ func TestEnumerateMaximalIndependentSets(t *testing.T) {
 	}
 	// K4: each singleton is maximal.
 	count = 0
-	if err := EnumerateMaximalIndependentSets(graph.Complete(4), func([]int) bool { count++; return true }); err != nil {
+	if err := enumerateMaximalIndependentSets(graph.Complete(4), func([]int) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 4 {
@@ -335,14 +335,14 @@ func TestEnumerateMaximalIndependentSets(t *testing.T) {
 	}
 	// Early stop.
 	count = 0
-	if err := EnumerateMaximalIndependentSets(graph.Complete(4), func([]int) bool { count++; return false }); err != nil {
+	if err := enumerateMaximalIndependentSets(graph.Complete(4), func([]int) bool { count++; return false }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
 		t.Errorf("early stop visited %d", count)
 	}
 	// Too large.
-	if err := EnumerateMaximalIndependentSets(graph.Grid(9, 8), func([]int) bool { return true }); !errors.Is(err, ErrTooLarge) {
+	if err := enumerateMaximalIndependentSets(graph.Grid(9, 8), func([]int) bool { return true }); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -454,7 +454,7 @@ func TestPropertyMaximalISCount(t *testing.T) {
 		n := 1 + rng.Intn(9)
 		g := graph.RandomGNP(n, 0.4, seed)
 		var fast int
-		if err := EnumerateMaximalIndependentSets(g, func([]int) bool { fast++; return true }); err != nil {
+		if err := enumerateMaximalIndependentSets(g, func([]int) bool { fast++; return true }); err != nil {
 			return false
 		}
 		return fast == bruteForceMaximalISCount(g)

@@ -16,17 +16,8 @@ import (
 // opponent's realized action. In zero-sum games the empirical play
 // converges to the minimax value — a third learning algorithm, with
 // randomized (rather than deterministic-FP or full-distribution-MW)
-// updates. The seed builds a private source; callers composing several
-// randomized algorithms into one reproducible run should use
-// RegretMatchingRand with a shared *rand.Rand instead.
+// updates. The seed builds a private source, so a run replays exactly.
 func RegretMatching(g *graph.Graph, rounds int, seed int64) (MWResult, error) {
-	return RegretMatchingRand(g, rounds, rand.New(rand.NewSource(seed)))
-}
-
-// RegretMatchingRand is RegretMatching drawing from an injected source, so
-// a whole experiment (graph generation included, via graph.Generator) can
-// replay from a single seed. A nil rng falls back to a fixed seed of 1.
-func RegretMatchingRand(g *graph.Graph, rounds int, rng *rand.Rand) (MWResult, error) {
 	if rounds <= 0 {
 		return MWResult{}, fmt.Errorf("%w: %d", ErrBadRounds, rounds)
 	}
@@ -36,9 +27,7 @@ func RegretMatchingRand(g *graph.Graph, rounds int, rng *rand.Rand) (MWResult, e
 	if g.HasIsolatedVertex() {
 		return MWResult{}, game.ErrIsolatedVertex
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
+	rng := rand.New(rand.NewSource(seed))
 	n, m := g.NumVertices(), g.NumEdges()
 
 	atkRegret := make([]float64, n) // attacker action regrets

@@ -8,8 +8,8 @@ import (
 )
 
 // The perf-trajectory benchmarks behind `make bench`: the LP value oracle,
-// the pure-strategy tuple enumeration it feeds on, the memoized lookups,
-// and one full Quick table on the cell runner at 1 and GOMAXPROCS workers.
+// the pure-strategy tuple enumeration it feeds on, and one full Quick
+// table on the cell runner at 1 and GOMAXPROCS workers.
 // `make bench` runs these and then has cmd/experiments write the
 // BENCH_experiments.json baseline.
 
@@ -29,23 +29,6 @@ func BenchmarkTupleEnumeration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := core.EnumerateTuples(g, 3); len(got) != 816 {
 			b.Fatalf("enumerated %d tuples, want C(18,3)=816", len(got))
-		}
-	}
-}
-
-// BenchmarkCachedGameValue measures the memoized hot path: every iteration
-// after the first is a pure cache hit plus a defensive copy.
-func BenchmarkCachedGameValue(b *testing.B) {
-	g := graph.Cycle(10)
-	c := newStructCache()
-	if _, err := c.GameValue(g, 2); err != nil { // prewarm
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.GameValue(g, 2); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // E1PureExistence regenerates Theorem 3.1 and Corollary 3.3 as a frontier
 // table: for each graph family and each k, pure equilibria exist exactly
 // when k reaches the edge-cover number ρ(G), and never while n >= 2k+1.
-// Each (family, k) probe is one runner cell; ρ(G) comes from the shared
-// structure cache so the frontier sweep computes each blossom matching once.
+// Each (family, k) probe is one runner cell; ρ(G) is computed once per
+// family, before its cells.
 func E1PureExistence(cfg Config) (Table, error) {
 	t := Table{
 		ID:    "E1",
@@ -57,7 +57,7 @@ func E1PureExistence(cfg Config) (Table, error) {
 	r := newRunner(cfg)
 	var cells []Cell
 	for _, fam := range families {
-		rho, err := stcache.EdgeCoverNumber(fam.g)
+		rho, err := cover.EdgeCoverNumber(fam.g)
 		if err != nil {
 			return Table{}, fmt.Errorf("experiments: E1 %s: %w", fam.name, err)
 		}

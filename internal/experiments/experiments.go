@@ -26,7 +26,7 @@ type Config struct {
 	Seed int64
 	// Workers bounds the cell worker pool of every table builder;
 	// <= 0 means runtime.GOMAXPROCS(0). Output is byte-identical for any
-	// worker count (timing columns excepted; see Table.CanonicalRender).
+	// worker count (timing columns excepted; see Table.Volatile).
 	Workers int
 
 	// failFirstCell is a test hook: when set, every Runner fails its first
@@ -35,9 +35,6 @@ type Config struct {
 	// failures per experiment.
 	failFirstCell bool
 }
-
-// DefaultConfig is the configuration used by cmd/experiments.
-func DefaultConfig() Config { return Config{Seed: 1} }
 
 // Table is one experiment's rendered result.
 type Table struct {
@@ -56,8 +53,8 @@ type Table struct {
 	// Notes are free-form footnote lines printed after the rows.
 	Notes []string
 	// Volatile lists column indices whose cells are environment-dependent
-	// (wall-clock timings). Render prints them verbatim; CanonicalRender
-	// masks them so golden files and determinism checks stay reproducible.
+	// (wall-clock timings). Render prints them verbatim; the golden and
+	// determinism tests mask them so their comparisons stay reproducible.
 	Volatile []int
 	// Stats carries the runner's execution metrics for the builders that
 	// run on the cell pool. It is not rendered; cmd/experiments uses it
@@ -72,12 +69,6 @@ func (t *Table) AddRow(cells ...string) {
 
 // Render produces an aligned plain-text rendering of the table.
 func (t Table) Render() string { return t.render(false) }
-
-// CanonicalRender renders the table with every volatile (timing) cell
-// replaced by the placeholder "~". Two runs of the same experiment with the
-// same Config — at any worker counts — produce byte-identical canonical
-// renderings; the golden-table suite asserts exactly that.
-func (t Table) CanonicalRender() string { return t.render(true) }
 
 func (t Table) render(maskVolatile bool) string {
 	rows := t.Rows

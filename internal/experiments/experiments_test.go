@@ -84,3 +84,6 @@ func TestDefaultConfig(t *testing.T) {
 		t.Error("default config must run the full sweeps")
 	}
 }
+
+// DefaultConfig is the configuration the golden tables were generated with.
+func DefaultConfig() Config { return Config{Seed: 1} }

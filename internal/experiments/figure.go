@@ -99,10 +99,10 @@ func renderASCII(series []Series, width, height int, xLabel, yLabel string) stri
 	return sb.String()
 }
 
-// F1GainLinearity plots defender gain against k for several families — the
+// f1GainLinearity plots defender gain against k for several families — the
 // paper's headline as a picture. The self-check asserts every series is
 // exactly linear through the origin (gain = k · gain(1)).
-func F1GainLinearity(cfg Config) (Figure, error) {
+func f1GainLinearity(cfg Config) (Figure, error) {
 	fams := []struct {
 		name string
 		g    *graph.Graph
@@ -146,10 +146,10 @@ func F1GainLinearity(cfg Config) (Figure, error) {
 	}, nil
 }
 
-// F2LiftScaling plots Algorithm A_tuple's lift time against k·|EC| on
+// f2LiftScaling plots Algorithm A_tuple's lift time against k·|EC| on
 // cycles — Theorem 4.13's O(k·n) as a picture. The self-check only asserts
 // monotone growth of work with k·|EC| at fixed k (timings are noisy).
-func F2LiftScaling(cfg Config) (Figure, error) {
+func f2LiftScaling(cfg Config) (Figure, error) {
 	sizes := []int{128, 512, 2048}
 	if cfg.Quick {
 		sizes = []int{64, 256}
@@ -197,7 +197,7 @@ func Figures() []struct {
 		ID  string
 		Run func(Config) (Figure, error)
 	}{
-		{"F1", F1GainLinearity},
-		{"F2", F2LiftScaling},
+		{"F1", f1GainLinearity},
+		{"F2", f2LiftScaling},
 	}
 }

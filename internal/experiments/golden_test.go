@@ -158,3 +158,9 @@ func init() {
 		panic(fmt.Sprintf("golden tables assume seed 1, DefaultConfig has %d", DefaultConfig().Seed))
 	}
 }
+
+// CanonicalRender renders the table with every volatile (timing) cell
+// replaced by the placeholder "~". Two runs of the same experiment with the
+// same Config — at any worker counts — produce byte-identical canonical
+// renderings; the golden-table suite asserts exactly that.
+func (t Table) CanonicalRender() string { return t.render(true) }

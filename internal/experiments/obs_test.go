@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"os"
-	"sync"
 	"testing"
 
-	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/obs"
 )
 
@@ -35,74 +33,6 @@ func counterDelta(names []string, fn func()) map[string]uint64 {
 		out[n] = snap.Counters[n] - before[n]
 	}
 	return out
-}
-
-// TestCacheCountersAccounting pins the hit/miss/store arithmetic of the
-// cache instrumentation on a fresh cache: first lookup of a key is exactly
-// one miss and one store, the second is exactly one hit, and
-// hits + misses equals total lookups.
-func TestCacheCountersAccounting(t *testing.T) {
-	c := newStructCache()
-	g := graph.Cycle(6)
-	names := []string{
-		"experiments.cache.matching.hits",
-		"experiments.cache.matching.misses",
-		"experiments.cache.matching.stores",
-	}
-
-	d := counterDelta(names, func() { c.MaximumMatching(g) })
-	if d["experiments.cache.matching.misses"] != 1 || d["experiments.cache.matching.stores"] != 1 || d["experiments.cache.matching.hits"] != 0 {
-		t.Errorf("first lookup: want 1 miss + 1 store + 0 hits, got %v", d)
-	}
-	d = counterDelta(names, func() { c.MaximumMatching(g) })
-	if d["experiments.cache.matching.hits"] != 1 || d["experiments.cache.matching.misses"] != 0 || d["experiments.cache.matching.stores"] != 0 {
-		t.Errorf("second lookup: want 1 hit + 0 misses + 0 stores, got %v", d)
-	}
-	// A structurally identical but distinct *Graph also hits.
-	d = counterDelta(names, func() { c.MaximumMatching(graph.Cycle(6)) })
-	if d["experiments.cache.matching.hits"] != 1 {
-		t.Errorf("structural key: want a hit for an identical graph, got %v", d)
-	}
-}
-
-// TestCacheCountersUnderConcurrency drives a fresh cache from many
-// goroutines and checks conservation laws that hold regardless of
-// interleaving: hits+misses == lookups, stores >= 1 (someone filled the
-// entry), and stores <= misses (only a miss ever stores). Run under -race
-// this also proves the counters themselves are data-race-free.
-func TestCacheCountersUnderConcurrency(t *testing.T) {
-	const workers = 8
-	const reps = 25
-	c := newStructCache()
-	g := graph.Cycle(9)
-	names := []string{
-		"experiments.cache.value.hits",
-		"experiments.cache.value.misses",
-		"experiments.cache.value.stores",
-	}
-	d := counterDelta(names, func() {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := 0; r < reps; r++ {
-					if _, err := c.GameValue(g, 1); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	})
-	hits, misses, stores := d["experiments.cache.value.hits"], d["experiments.cache.value.misses"], d["experiments.cache.value.stores"]
-	if hits+misses != workers*reps {
-		t.Errorf("hits(%d)+misses(%d) = %d, want %d lookups", hits, misses, hits+misses, workers*reps)
-	}
-	if stores < 1 || stores > misses {
-		t.Errorf("stores = %d, want 1 <= stores <= misses (%d)", stores, misses)
-	}
 }
 
 // TestRunnerCountersAccounting: a table run of C cells adds exactly C to

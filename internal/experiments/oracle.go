@@ -15,8 +15,7 @@ import (
 // every equilibrium shares one value. The oracle enumerates all C(m,k)
 // tuples and solves the matrix game by exact simplex — if any construction
 // were wrong, its predicted value would disagree here. Each (graph, k)
-// probe is one runner cell; the LP values come from the shared structure
-// cache, so probes repeated by other tables (E12, E14, E16 zoos) are free.
+// probe is one runner cell.
 func E10ValueOracle(cfg Config) (Table, error) {
 	t := Table{
 		ID:    "E10",
@@ -55,7 +54,7 @@ func E10ValueOracle(cfg Config) (Table, error) {
 		for _, k := range p.ks {
 			p, k := p, k
 			cells = append(cells, func() ([][]string, error) {
-				value, err := stcache.GameValue(p.g, k)
+				value, _, _, err := core.GameValue(p.g, k)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: E10 %s k=%d: %w", p.name, k, err)
 				}
@@ -143,7 +142,7 @@ func E11LearningDynamics(cfg Config) (Table, error) {
 	}
 
 	for _, inst := range instances {
-		value, err := stcache.GameValue(inst.g, 1)
+		value, _, _, err := core.GameValue(inst.g, 1)
 		if err != nil {
 			return Table{}, fmt.Errorf("experiments: E11 %s: %w", inst.name, err)
 		}
@@ -200,7 +199,7 @@ func E11LearningDynamics(cfg Config) (Table, error) {
 		if inst.g.NumEdges() < 2 {
 			continue
 		}
-		value, err := stcache.GameValue(inst.g, 2)
+		value, _, _, err := core.GameValue(inst.g, 2)
 		if err != nil {
 			return Table{}, fmt.Errorf("experiments: E11 %s k=2: %w", inst.name, err)
 		}

@@ -41,30 +41,21 @@ type Runner struct {
 // errCellFault is the injected failure of the failFirstCell test hook.
 var errCellFault = errors.New("experiments: injected cell fault")
 
-// NewRunner returns a runner with the given worker bound; workers <= 0
-// means runtime.GOMAXPROCS(0).
-func NewRunner(workers int) *Runner {
+// newRunner builds the runner a table builder uses for one Config: at most
+// cfg.Workers workers, runtime.GOMAXPROCS(0) when cfg.Workers <= 0.
+func newRunner(cfg Config) *Runner {
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{workers: workers}
+	return &Runner{workers: workers, failFirst: cfg.failFirstCell}
 }
 
-// newRunner builds the runner a table builder uses for one Config.
-func newRunner(cfg Config) *Runner {
-	r := NewRunner(cfg.Workers)
-	r.failFirst = cfg.failFirstCell
-	return r
-}
-
-// Workers returns the worker bound.
-func (r *Runner) Workers() int { return r.workers }
-
-// Run executes every cell on at most Workers() goroutines and returns all
+// Run executes every cell on at most r.workers goroutines and returns all
 // produced rows concatenated in cell-declaration order. If any cells fail,
 // the error of the earliest-declared failing cell is returned (again
 // independent of scheduling) and no rows. Per-cell durations accumulate
-// into Stats across Run calls.
+// into stats across Run calls.
 func (r *Runner) Run(cells []Cell) ([][]string, error) {
 	type result struct {
 		rows [][]string
@@ -151,8 +142,8 @@ func (s RunStats) CellsPerSec() float64 {
 	return float64(s.Cells) / s.Wall.Seconds()
 }
 
-// Stats returns the metrics accumulated by every Run call so far.
-func (r *Runner) Stats() RunStats {
+// stats returns the metrics accumulated by every Run call so far.
+func (r *Runner) stats() RunStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := RunStats{Cells: len(r.durations), Wall: r.wall}
@@ -187,7 +178,7 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 // ("experiments.table.<ID>.cell_seconds") — the runner itself never learns
 // the table ID, but every builder funnels through finish exactly once.
 func (r *Runner) finish(t Table) Table {
-	t.Stats = r.Stats()
+	t.Stats = r.stats()
 	if t.ID != "" && obs.Default().Enabled() {
 		// lint:invariant(metricname): per-table family, catalogued as experiments.table.<id>.cell_seconds
 		h := obs.Default().Histogram("experiments.table." + t.ID + ".cell_seconds")

@@ -13,7 +13,7 @@ import (
 // cells finish first.
 func TestRunnerRowsInDeclaredOrder(t *testing.T) {
 	const n = 40
-	r := NewRunner(8)
+	r := newRunner(Config{Workers: 8})
 	cells := make([]Cell, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -39,7 +39,7 @@ func TestRunnerRowsInDeclaredOrder(t *testing.T) {
 
 // TestRunnerMultiRowCells checks concatenation of variable-size row groups.
 func TestRunnerMultiRowCells(t *testing.T) {
-	r := NewRunner(4)
+	r := newRunner(Config{Workers: 4})
 	rows, err := r.Run([]Cell{
 		func() ([][]string, error) { return [][]string{{"a"}, {"b"}}, nil },
 		func() ([][]string, error) { return nil, nil },
@@ -64,7 +64,7 @@ func TestRunnerMultiRowCells(t *testing.T) {
 func TestRunnerErrorPrecedence(t *testing.T) {
 	errA := errors.New("cell 2 failed")
 	errB := errors.New("cell 5 failed")
-	r := NewRunner(8)
+	r := newRunner(Config{Workers: 8})
 	cells := make([]Cell, 8)
 	for i := range cells {
 		i := i
@@ -89,7 +89,7 @@ func TestRunnerErrorPrecedence(t *testing.T) {
 }
 
 func TestRunnerStats(t *testing.T) {
-	r := NewRunner(3)
+	r := newRunner(Config{Workers: 3})
 	var cells []Cell
 	for i := 0; i < 10; i++ {
 		cells = append(cells, func() ([][]string, error) {
@@ -100,7 +100,7 @@ func TestRunnerStats(t *testing.T) {
 	if _, err := r.Run(cells); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	s := r.Stats()
+	s := r.stats()
 	if s.Cells != 10 {
 		t.Errorf("Cells = %d, want 10", s.Cells)
 	}
@@ -119,32 +119,32 @@ func TestRunnerStats(t *testing.T) {
 }
 
 func TestRunnerStatsAccumulateAcrossRuns(t *testing.T) {
-	r := NewRunner(2)
+	r := newRunner(Config{Workers: 2})
 	one := []Cell{func() ([][]string, error) { return nil, nil }}
 	for i := 0; i < 3; i++ {
 		if _, err := r.Run(one); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 	}
-	if got := r.Stats().Cells; got != 3 {
+	if got := r.stats().Cells; got != 3 {
 		t.Errorf("Cells = %d, want 3 accumulated", got)
 	}
 }
 
 func TestNewRunnerDefaultsToGOMAXPROCS(t *testing.T) {
-	if got, want := NewRunner(0).Workers(), runtime.GOMAXPROCS(0); got != want {
+	if got, want := newRunner(Config{Workers: 0}).workers, runtime.GOMAXPROCS(0); got != want {
 		t.Errorf("Workers = %d, want %d", got, want)
 	}
-	if got := NewRunner(-3).Workers(); got < 1 {
+	if got := newRunner(Config{Workers: -3}).workers; got < 1 {
 		t.Errorf("Workers = %d, want >= 1", got)
 	}
-	if got := NewRunner(5).Workers(); got != 5 {
+	if got := newRunner(Config{Workers: 5}).workers; got != 5 {
 		t.Errorf("Workers = %d, want 5", got)
 	}
 }
 
 func TestRunnerNoCells(t *testing.T) {
-	rows, err := NewRunner(4).Run(nil)
+	rows, err := newRunner(Config{Workers: 4}).Run(nil)
 	if err != nil || rows != nil {
 		t.Errorf("empty Run = (%v, %v), want (nil, nil)", rows, err)
 	}
@@ -168,7 +168,7 @@ func TestPercentile(t *testing.T) {
 
 // TestRunnerStatsMax: CellMax is the exact slowest cell, not an estimate.
 func TestRunnerStatsMax(t *testing.T) {
-	r := NewRunner(2)
+	r := newRunner(Config{Workers: 2})
 	_, err := r.Run([]Cell{
 		func() ([][]string, error) { return nil, nil },
 		func() ([][]string, error) { time.Sleep(3 * time.Millisecond); return nil, nil },
@@ -176,7 +176,7 @@ func TestRunnerStatsMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := r.Stats()
+	s := r.stats()
 	if s.CellMax < 3*time.Millisecond {
 		t.Errorf("CellMax = %v, want >= 3ms (the slow cell)", s.CellMax)
 	}

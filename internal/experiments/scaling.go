@@ -86,8 +86,7 @@ func E4ATupleScaling(cfg Config) (Table, error) {
 // E8Substrates benchmarks the substrate algorithms and re-validates
 // Gallai's identity at scale: Hopcroft–Karp on bipartite workloads, blossom
 // on general graphs, and minimum edge covers sized exactly n − μ. One
-// runner cell per size; this table deliberately bypasses the structure
-// cache — it is measuring the algorithms, not their memoization.
+// runner cell per size.
 func E8Substrates(cfg Config) (Table, error) {
 	t := Table{
 		ID:    "E8",

@@ -149,20 +149,14 @@ func (t Tuple) Vertices(g *graph.Graph) []int {
 	return graph.NormalizeSet(vs)
 }
 
-// Covers reports whether vertex v is an endpoint of some edge of the tuple.
-func (t Tuple) Covers(g *graph.Graph, v int) bool {
+// covers reports whether vertex v is an endpoint of some edge of the tuple.
+func (t Tuple) covers(g *graph.Graph, v int) bool {
 	for _, id := range t.ids {
 		if g.EdgeByID(id).Has(v) {
 			return true
 		}
 	}
 	return false
-}
-
-// ContainsEdge reports whether the tuple contains the edge with index id.
-func (t Tuple) ContainsEdge(id int) bool {
-	i := sort.SearchInts(t.ids, id)
-	return i < len(t.ids) && t.ids[i] == id
 }
 
 // Key returns a canonical string identifying the tuple (for map keys).
@@ -175,19 +169,6 @@ func (t Tuple) Key() string {
 		sb.WriteString(strconv.Itoa(id))
 	}
 	return sb.String()
-}
-
-// Equal reports whether two tuples contain the same edge set.
-func (t Tuple) Equal(o Tuple) bool {
-	if len(t.ids) != len(o.ids) {
-		return false
-	}
-	for i := range t.ids {
-		if t.ids[i] != o.ids[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the tuple as its edge-index list.
@@ -224,7 +205,7 @@ func (gm *Game) ValidatePure(p PureProfile) error {
 // ProfitVP is IP_i of Definition 2.1: attacker i earns 1 iff its vertex is
 // not covered by the defender's tuple.
 func (gm *Game) ProfitVP(p PureProfile, i int) int {
-	if p.TupleChoice.Covers(gm.g, p.VertexChoice[i]) {
+	if p.TupleChoice.covers(gm.g, p.VertexChoice[i]) {
 		return 0
 	}
 	return 1
@@ -235,7 +216,7 @@ func (gm *Game) ProfitVP(p PureProfile, i int) int {
 func (gm *Game) ProfitTP(p PureProfile) int {
 	caught := 0
 	for _, v := range p.VertexChoice {
-		if p.TupleChoice.Covers(gm.g, v) {
+		if p.TupleChoice.covers(gm.g, v) {
 			caught++
 		}
 	}

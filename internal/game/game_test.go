@@ -121,15 +121,12 @@ func TestTupleVerticesAndCovers(t *testing.T) {
 		t.Errorf("Vertices = %v, want %v (shared endpoint deduplicated)", vs, want)
 	}
 	for _, v := range want {
-		if !tp.Covers(g, v) {
+		if !tp.covers(g, v) {
 			t.Errorf("should cover %d", v)
 		}
 	}
-	if tp.Covers(g, 4) {
+	if tp.covers(g, 4) {
 		t.Error("should not cover 4")
-	}
-	if !tp.ContainsEdge(0) || tp.ContainsEdge(3) {
-		t.Error("ContainsEdge wrong")
 	}
 	// Edges resolve back.
 	edges := tp.Edges(g)
@@ -190,4 +187,17 @@ func TestPureProfits(t *testing.T) {
 	if sum != gm.Attackers() {
 		t.Errorf("profit conservation violated: %d != %d", sum, gm.Attackers())
 	}
+}
+
+// Equal reports whether two tuples contain the same edge set.
+func (t Tuple) Equal(o Tuple) bool {
+	if len(t.ids) != len(o.ids) {
+		return false
+	}
+	for i := range t.ids {
+		if t.ids[i] != o.ids[i] {
+			return false
+		}
+	}
+	return true
 }

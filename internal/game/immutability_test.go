@@ -19,7 +19,7 @@ func TestVertexStrategyProbIsDefensiveCopy(t *testing.T) {
 	if got := s.Prob(1); got.Cmp(ratOf(1, 3)) != 0 {
 		t.Fatalf("stored probability changed to %v after mutating Prob result", got)
 	}
-	if err := s.Validate(3); err != nil {
+	if err := s.validate(3); err != nil {
 		t.Fatalf("strategy corrupted by caller-side mutation: %v", err)
 	}
 }
@@ -40,7 +40,7 @@ func TestTupleStrategyProbIsDefensiveCopy(t *testing.T) {
 	if got := ts.Prob(t1); got.Cmp(ratOf(1, 2)) != 0 {
 		t.Fatalf("stored tuple probability changed to %v after mutating Prob result", got)
 	}
-	if err := ts.Validate(g, 2); err != nil {
+	if err := ts.validate(g, 2); err != nil {
 		t.Fatalf("strategy corrupted by caller-side mutation: %v", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestConstructorsCopyInputProbs(t *testing.T) {
 	if got := s.Prob(0); got.Cmp(ratOf(1, 2)) != 0 {
 		t.Fatalf("stored probability aliases constructor input: %v", got)
 	}
-	if err := s.Validate(2); err != nil {
+	if err := s.validate(2); err != nil {
 		t.Fatalf("strategy corrupted through constructor aliasing: %v", err)
 	}
 }

@@ -74,8 +74,8 @@ func (s VertexStrategy) Prob(v int) *big.Rat {
 	return new(big.Rat)
 }
 
-// Validate checks s is a probability distribution over vertices 0..n-1.
-func (s VertexStrategy) Validate(n int) error {
+// validate checks s is a probability distribution over vertices 0..n-1.
+func (s VertexStrategy) validate(n int) error {
 	sum := new(big.Rat)
 	for _, v := range s.support {
 		if v < 0 || v >= n {
@@ -184,8 +184,8 @@ func (s TupleStrategy) SupportEdges() []int {
 	return graph.NormalizeSet(ids)
 }
 
-// Validate checks s is a probability distribution over k-tuples of g.
-func (s TupleStrategy) Validate(g *graph.Graph, k int) error {
+// validate checks s is a probability distribution over k-tuples of g.
+func (s TupleStrategy) validate(g *graph.Graph, k int) error {
 	sum := new(big.Rat)
 	for _, t := range s.tuples {
 		if t.Size() != k {
@@ -233,11 +233,11 @@ func (gm *Game) Validate(mp MixedProfile) error {
 		return fmt.Errorf("%w: %d vertex strategies for ν=%d attackers", ErrInvalidProfile, len(mp.VP), gm.attackers)
 	}
 	for i, s := range mp.VP {
-		if err := s.Validate(gm.g.NumVertices()); err != nil {
+		if err := s.validate(gm.g.NumVertices()); err != nil {
 			return fmt.Errorf("attacker %d: %w", i, err)
 		}
 	}
-	if err := mp.TP.Validate(gm.g, gm.k); err != nil {
+	if err := mp.TP.validate(gm.g, gm.k); err != nil {
 		return fmt.Errorf("defender: %w", err)
 	}
 	return nil
@@ -335,15 +335,4 @@ func (gm *Game) ExpectedProfitTP(mp MixedProfile) *big.Rat {
 		sum.Add(&sum, &contrib)
 	}
 	return sum.Big()
-}
-
-// TuplesThrough returns Tuples(v): the support tuples covering vertex v.
-func (mp MixedProfile) TuplesThrough(g *graph.Graph, v int) []Tuple {
-	var out []Tuple
-	for _, t := range mp.TP.tuples {
-		if t.Covers(g, v) {
-			out = append(out, t)
-		}
-	}
-	return out
 }

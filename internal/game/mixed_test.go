@@ -23,10 +23,10 @@ func TestUniformVertexStrategy(t *testing.T) {
 	if s.Prob(2).Sign() != 0 {
 		t.Errorf("Prob(2) = %v, want 0", s.Prob(2))
 	}
-	if err := s.Validate(6); err != nil {
+	if err := s.validate(6); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
-	if err := s.Validate(4); err == nil {
+	if err := s.validate(4); err == nil {
 		t.Error("vertex 5 out of range for n=4")
 	}
 }
@@ -41,18 +41,18 @@ func TestNewVertexStrategyDropsZeros(t *testing.T) {
 	if got := s.Support(); !graph.SetsEqual(got, []int{0, 2}) {
 		t.Errorf("Support = %v", got)
 	}
-	if err := s.Validate(3); err != nil {
+	if err := s.validate(3); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 }
 
 func TestVertexStrategyValidateSums(t *testing.T) {
 	s := NewVertexStrategy(map[int]*big.Rat{0: ratOf(1, 2), 1: ratOf(1, 3)})
-	if err := s.Validate(2); !errors.Is(err, ErrInvalidProfile) {
+	if err := s.validate(2); !errors.Is(err, ErrInvalidProfile) {
 		t.Errorf("5/6 total: err = %v", err)
 	}
 	neg := NewVertexStrategy(map[int]*big.Rat{0: ratOf(3, 2), 1: ratOf(-1, 2)})
-	if err := neg.Validate(2); !errors.Is(err, ErrInvalidProfile) {
+	if err := neg.validate(2); !errors.Is(err, ErrInvalidProfile) {
 		t.Errorf("negative prob: err = %v", err)
 	}
 }
@@ -75,10 +75,10 @@ func TestUniformTupleStrategy(t *testing.T) {
 	if ts.Prob(other).Sign() != 0 {
 		t.Error("probability outside support must be 0")
 	}
-	if err := ts.Validate(g, 2); err != nil {
+	if err := ts.validate(g, 2); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
-	if err := ts.Validate(g, 3); err == nil {
+	if err := ts.validate(g, 3); err == nil {
 		t.Error("wrong k must fail validation")
 	}
 	// Duplicates rejected.
@@ -337,4 +337,15 @@ func TestPropertyLoadAndHitInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TuplesThrough returns Tuples(v): the support tuples covering vertex v.
+func (mp MixedProfile) TuplesThrough(g *graph.Graph, v int) []Tuple {
+	var out []Tuple
+	for _, t := range mp.TP.tuples {
+		if t.covers(g, v) {
+			out = append(out, t)
+		}
+	}
+	return out
 }

@@ -143,43 +143,6 @@ func (c *CSR) EachEdge(fn func(u, v int32)) {
 	}
 }
 
-// Validate checks the structural invariants every constructor guarantees:
-// RowPtr monotone and anchored at 0 and len(Col), rows sorted strictly
-// ascending (no parallel edges), no self-loops, in-range columns, and
-// symmetry (u lists v iff v lists u). O(n + m log Δ) where Δ is the
-// maximum degree; allocates nothing. Intended for fuzzers and for callers
-// assembling RowPtr/Col by hand.
-func (c *CSR) Validate() error {
-	n := c.NumVertices()
-	if len(c.RowPtr) == 0 {
-		return fmt.Errorf("graph: csr: empty RowPtr")
-	}
-	if c.RowPtr[0] != 0 || int(c.RowPtr[n]) != len(c.Col) {
-		return fmt.Errorf("graph: csr: RowPtr not anchored: first=%d last=%d len(Col)=%d", c.RowPtr[0], c.RowPtr[n], len(c.Col))
-	}
-	for v := 0; v < n; v++ {
-		if c.RowPtr[v+1] < c.RowPtr[v] {
-			return fmt.Errorf("graph: csr: RowPtr decreases at vertex %d", v)
-		}
-		row := c.Neighbors(v)
-		for i, u := range row {
-			if u < 0 || int(u) >= n {
-				return fmt.Errorf("%w: csr row %d lists %d with n=%d", ErrVertexRange, v, u, n)
-			}
-			if int(u) == v {
-				return fmt.Errorf("%w: csr row %d", ErrSelfLoop, v)
-			}
-			if i > 0 && row[i-1] >= u {
-				return fmt.Errorf("%w: csr row %d not strictly ascending at offset %d", ErrDuplicateEdge, v, i)
-			}
-			if !c.HasEdge(int(u), v) {
-				return fmt.Errorf("graph: csr: asymmetric edge (%d,%d)", v, u)
-			}
-		}
-	}
-	return nil
-}
-
 // FromGraph converts an adjacency-list Graph into its CSR form. The
 // neighbor rows are copied in Graph's already-sorted order, so the result
 // is canonical: FromGraph(g).ToGraph() has exactly g's edge set (edge

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 )
@@ -36,12 +35,6 @@ func NewGenerator(rng *rand.Rand) *Generator {
 func NewSeededGenerator(seed int64) *Generator {
 	return &Generator{rng: rand.New(rand.NewSource(seed))}
 }
-
-// Rand exposes the underlying source, for callers that need auxiliary
-// draws (e.g. shuffling experiment orders) from the same replayable
-// stream.
-// O(1), does not allocate.
-func (gen *Generator) Rand() *rand.Rand { return gen.rng }
 
 // GNP draws an Erdős–Rényi graph G(n, p).
 // Costs n(n-1)/2 coin flips and the accepted AddEdge insertions;
@@ -170,34 +163,13 @@ func (gen *Generator) Connected(n int, p float64) *Graph {
 	return g
 }
 
-// Regular draws a d-regular graph on n vertices via the pairing model
-// with restarts, or an error if n*d is odd or d >= n.
-// Expected O(n·d) per attempt over a bounded number of pairing restarts;
-// allocates the returned graph and the stub pool.
-func (gen *Generator) Regular(n, d int) (*Graph, error) {
-	if n*d%2 != 0 {
-		return nil, fmt.Errorf("graph: no %d-regular graph on %d vertices (odd degree sum)", d, n)
-	}
-	if d >= n {
-		return nil, fmt.Errorf("graph: degree %d too large for %d vertices", d, n)
-	}
-	const maxAttempts = 1000
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		g, ok := tryPairing(n, d, gen.rng)
-		if ok {
-			return g, nil
-		}
-	}
-	return nil, fmt.Errorf("graph: pairing model failed to produce a simple %d-regular graph on %d vertices", d, n)
-}
-
 // BarabasiAlbert grows a scale-free graph by preferential attachment:
 // starting from a clique on m0 = attach vertices, every new vertex draws
 // `attach` distinct neighbors with probability proportional to current
 // degree. The result is connected with no isolated vertices; n must be
 // at least attach+1 and attach >= 1.
 // O(n·attach) draws against the repeated-endpoint pool; allocates the
-// returned graph and the pool. CSR counterpart: BarabasiAlbertCSR.
+// returned graph and the pool.
 func (gen *Generator) BarabasiAlbert(n, attach int) *Graph {
 	if attach < 1 {
 		attach = 1

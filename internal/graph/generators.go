@@ -176,10 +176,3 @@ func RandomTree(n int, seed int64) *Graph {
 func RandomConnected(n int, p float64, seed int64) *Graph {
 	return NewSeededGenerator(seed).Connected(n, p)
 }
-
-// RandomRegular returns a d-regular graph on n vertices drawn with the
-// given seed, or an error if n*d is odd or d >= n; see Generator.Regular.
-// Cost of Generator.Regular plus a one-shot generator allocation.
-func RandomRegular(n, d int, seed int64) (*Graph, error) {
-	return NewSeededGenerator(seed).Regular(n, d)
-}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -221,4 +222,32 @@ func TestHeawoodGenerator(t *testing.T) {
 	if !g.IsConnected() {
 		t.Error("heawood must be connected")
 	}
+}
+
+// RandomRegular returns a d-regular graph on n vertices drawn with the
+// given seed, or an error if n*d is odd or d >= n; see Generator.Regular.
+// Cost of Generator.Regular plus a one-shot generator allocation.
+func RandomRegular(n, d int, seed int64) (*Graph, error) {
+	return NewSeededGenerator(seed).Regular(n, d)
+}
+
+// Regular draws a d-regular graph on n vertices via the pairing model
+// with restarts, or an error if n*d is odd or d >= n.
+// Expected O(n·d) per attempt over a bounded number of pairing restarts;
+// allocates the returned graph and the stub pool.
+func (gen *Generator) Regular(n, d int) (*Graph, error) {
+	if n*d%2 != 0 {
+		return nil, fmt.Errorf("graph: no %d-regular graph on %d vertices (odd degree sum)", d, n)
+	}
+	if d >= n {
+		return nil, fmt.Errorf("graph: degree %d too large for %d vertices", d, n)
+	}
+	const maxAttempts = 1000
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		g, ok := tryPairing(n, d, gen.rng)
+		if ok {
+			return g, nil
+		}
+	}
+	return nil, fmt.Errorf("graph: pairing model failed to produce a simple %d-regular graph on %d vertices", d, n)
 }

@@ -26,44 +26,20 @@ var ErrBadGraph6 = errors.New("graph: malformed graph6")
 // zero, so every accepted string satisfies FormatGraph6(ParseGraph6(s)) ==
 // s (after trimming) — the round-trip identity fuzzed by FuzzParseGraph6
 // and relied on by every graph6-keyed cache. Strictness matters beyond
-// hygiene — graph6 strings key the structure and response caches, and a
+// hygiene — graph6 strings key defenderd's response cache, and a
 // lax parser would let one graph hide under several keys. O(n^2) (the
 // full upper triangle is scanned); allocates the graph.
 func ParseGraph6(s string) (*Graph, error) {
-	s = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(s), ">>graph6<<"))
-	if s == "" {
-		return nil, fmt.Errorf("%w: empty input", ErrBadGraph6)
-	}
+	s = trimGraph6(s)
 	data := []byte(s)
 	for _, b := range data {
 		if b < 63 || b > 126 {
 			return nil, fmt.Errorf("%w: byte %q out of range", ErrBadGraph6, b)
 		}
 	}
-	// Decode N(n).
-	var n, pos int
-	switch {
-	case data[0] == 126 && len(data) >= 4 && data[1] == 126:
-		return nil, fmt.Errorf("%w: 8-byte vertex counts not supported", ErrBadGraph6)
-	case data[0] == 126:
-		if len(data) < 4 {
-			return nil, fmt.Errorf("%w: truncated extended vertex count", ErrBadGraph6)
-		}
-		n = int(data[1]-63)<<12 | int(data[2]-63)<<6 | int(data[3]-63)
-		pos = 4
-		// The long form is only canonical for 63 <= n <= 258047: smaller
-		// counts must use the one-byte header, and larger ones the 8-byte
-		// form we reject above. Accepting the non-canonical encodings would
-		// break Format∘Parse = identity (the fuzzed round-trip contract)
-		// and let one graph hide under several cache keys.
-		// (n > 258047 is unreachable here: its second header byte would be
-		// '~', which the 8-byte branch above already rejects.)
-		if n <= 62 {
-			return nil, fmt.Errorf("%w: non-canonical long-form header for n=%d (short form required)", ErrBadGraph6, n)
-		}
-	default:
-		n = int(data[0] - 63)
-		pos = 1
+	n, pos, err := graph6Order(s)
+	if err != nil {
+		return nil, err
 	}
 	bitsNeeded := n * (n - 1) / 2
 	bytesNeeded := (bitsNeeded + 5) / 6
@@ -94,6 +70,57 @@ func ParseGraph6(s string) (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// Graph6Order returns the vertex count a graph6 line declares, decoding
+// only its header under ParseGraph6's rules (whitespace, the optional
+// ">>graph6<<" prefix, canonical header form). It neither checks nor
+// copies the adjacency bytes, so a caller can refuse an oversized graph
+// before paying ParseGraph6's O(n^2) decode. O(1) past the trimming; does
+// not allocate.
+func Graph6Order(s string) (int, error) {
+	n, _, err := graph6Order(trimGraph6(s))
+	return n, err
+}
+
+// trimGraph6 strips surrounding whitespace and the optional header.
+func trimGraph6(s string) string {
+	return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(s), ">>graph6<<"))
+}
+
+// graph6Order decodes N(n) from a trimmed graph6 line, returning n and
+// the offset of the first adjacency byte.
+func graph6Order(s string) (n, pos int, err error) {
+	if s == "" {
+		return 0, 0, fmt.Errorf("%w: empty input", ErrBadGraph6)
+	}
+	for i := 0; i < len(s) && i < 4; i++ {
+		if s[i] < 63 || s[i] > 126 {
+			return 0, 0, fmt.Errorf("%w: byte %q out of range", ErrBadGraph6, s[i])
+		}
+	}
+	switch {
+	case s[0] == 126 && len(s) >= 4 && s[1] == 126:
+		return 0, 0, fmt.Errorf("%w: 8-byte vertex counts not supported", ErrBadGraph6)
+	case s[0] == 126:
+		if len(s) < 4 {
+			return 0, 0, fmt.Errorf("%w: truncated extended vertex count", ErrBadGraph6)
+		}
+		n = int(s[1]-63)<<12 | int(s[2]-63)<<6 | int(s[3]-63)
+		// The long form is only canonical for 63 <= n <= 258047: smaller
+		// counts must use the one-byte header, and larger ones the 8-byte
+		// form we reject above. Accepting the non-canonical encodings would
+		// break Format∘Parse = identity (the fuzzed round-trip contract)
+		// and let one graph hide under several cache keys.
+		// (n > 258047 is unreachable here: its second header byte would be
+		// '~', which the 8-byte branch above already rejects.)
+		if n <= 62 {
+			return 0, 0, fmt.Errorf("%w: non-canonical long-form header for n=%d (short form required)", ErrBadGraph6, n)
+		}
+		return n, 4, nil
+	default:
+		return int(s[0] - 63), 1, nil
+	}
 }
 
 // FormatGraph6 encodes g as a graph6 string. Graphs beyond 258047 vertices

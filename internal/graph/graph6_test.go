@@ -44,6 +44,31 @@ func TestParseGraph6Header(t *testing.T) {
 	}
 }
 
+// TestGraph6OrderAgreesWithParse: the header-only decoder reports the
+// vertex count ParseGraph6 builds, rejects the headers ParseGraph6
+// rejects, and ignores the adjacency bytes.
+func TestGraph6OrderAgreesWithParse(t *testing.T) {
+	for _, g := range []*Graph{New(1), Path(4), Petersen(), Cycle(63), Grid(9, 9)} {
+		s, err := FormatGraph6(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := Graph6Order(">>graph6<<" + s + "\n")
+		if err != nil || n != g.NumVertices() {
+			t.Errorf("Graph6Order(%q) = %d, %v; want %d", s, n, err, g.NumVertices())
+		}
+	}
+	for _, s := range []string{"", " ", "\x01_", "~A", "~??B?", "~??aFE", "~~~~"} {
+		if _, err := Graph6Order(s); !errors.Is(err, ErrBadGraph6) {
+			t.Errorf("Graph6Order(%q) err = %v, want ErrBadGraph6", s, err)
+		}
+	}
+	// Only the header is read: a truncated body still declares its n.
+	if n, err := Graph6Order("~?Bw"); err != nil || n != 248 {
+		t.Errorf("Graph6Order(truncated) = %d, %v; want 248", n, err)
+	}
+}
+
 func TestParseGraph6Errors(t *testing.T) {
 	bad := []string{
 		"",

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -407,4 +408,141 @@ func mustAdd(t *testing.T, g *Graph, u, v int) {
 	if err := g.AddEdge(u, v); err != nil {
 		t.Fatalf("AddEdge(%d,%d): %v", u, v, err)
 	}
+}
+
+// Other returns the endpoint of e different from w.
+// It returns -1 if w is not an endpoint of e. O(1), does not allocate.
+func (e Edge) Other(w int) int {
+	switch w {
+	case e.U:
+		return e.V
+	case e.V:
+		return e.U
+	default:
+		return -1
+	}
+}
+
+// IncidentEdges returns the edges incident to v, in ascending neighbor order.
+// O(d); allocates the edge slice.
+func (g *Graph) IncidentEdges(v int) []Edge {
+	if v < 0 || v >= g.n {
+		return nil
+	}
+	out := make([]Edge, 0, len(g.adj[v]))
+	for _, u := range g.adj[v] {
+		out = append(out, NewEdge(v, u))
+	}
+	return out
+}
+
+// Clone returns a deep copy of g. O(n + m log m) (sorted adjacency
+// rebuild); allocates the copy.
+func (g *Graph) Clone() *Graph {
+	c := New(g.n)
+	for _, e := range g.edges {
+		// AddEdge cannot fail when replaying a valid edge list.
+		c.mustAddEdge(e.U, e.V)
+	}
+	return c
+}
+
+// NeighborhoodOf returns Neigh_G(X): the set of all vertices adjacent to at
+// least one vertex of set (which may intersect set itself), as a sorted slice.
+// O(Σ d(v) + out log out); allocates the seen map and the result.
+func (g *Graph) NeighborhoodOf(set []int) []int {
+	seen := make(map[int]bool)
+	for _, v := range set {
+		if v < 0 || v >= g.n {
+			continue
+		}
+		for _, u := range g.adj[v] {
+			seen[u] = true
+		}
+	}
+	if len(seen) == 0 {
+		return nil
+	}
+	out := make([]int, 0, len(seen))
+	for u := range seen {
+		out = append(out, u)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// InducedSubgraph returns the subgraph induced by the given vertex set,
+// together with the mapping from new vertex indices to original ones.
+// O(m + |vertices| log |vertices|); allocates the subgraph and mapping.
+func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int) {
+	keep := make([]int, 0, len(vertices))
+	seen := make(map[int]bool, len(vertices))
+	for _, v := range vertices {
+		if v >= 0 && v < g.n && !seen[v] {
+			seen[v] = true
+			keep = append(keep, v)
+		}
+	}
+	sort.Ints(keep)
+	index := make(map[int]int, len(keep))
+	for i, v := range keep {
+		index[v] = i
+	}
+	sub := New(len(keep))
+	for _, e := range g.edges {
+		iu, okU := index[e.U]
+		iv, okV := index[e.V]
+		if okU && okV {
+			sub.mustAddEdge(iu, iv)
+		}
+	}
+	return sub, keep
+}
+
+// SubgraphOfEdges returns the graph G_T obtained from an edge set T: its
+// vertex set is V(T) and its edge set is T (Section 2 of the paper). The
+// returned graph keeps the original vertex numbering of g (vertices not
+// touched by T are present but isolated in the returned graph only if their
+// index is below the maximum touched index; use the second return value for
+// the exact vertex set V(T)). O(n + |edges| log |edges|); allocates the
+// subgraph and the sorted vertex set.
+func (g *Graph) SubgraphOfEdges(edges []Edge) (*Graph, []int) {
+	sub := New(g.n)
+	touched := make(map[int]bool)
+	for _, e := range edges {
+		if g.EdgeID(e) < 0 {
+			continue
+		}
+		if !sub.HasEdge(e.U, e.V) {
+			sub.mustAddEdge(e.U, e.V)
+		}
+		touched[e.U] = true
+		touched[e.V] = true
+	}
+	vs := make([]int, 0, len(touched))
+	for v := range touched {
+		vs = append(vs, v)
+	}
+	sort.Ints(vs)
+	return sub, vs
+}
+
+// ConnectedComponents returns the vertex sets of the connected components,
+// each sorted ascending, ordered by smallest contained vertex.
+// O(n log n + m); allocates the component slices and BFS scratch.
+func (g *Graph) ConnectedComponents() [][]int {
+	visited := make([]bool, g.n)
+	var comps [][]int
+	for v := 0; v < g.n; v++ {
+		if visited[v] {
+			continue
+		}
+		comp := g.componentOf(v)
+		for _, u := range comp {
+			visited[u] = true
+		}
+		sort.Ints(comp)
+		comps = append(comps, comp)
+	}
+	return comps
 }

@@ -1,45 +1,7 @@
 package graph
 
-import "fmt"
-
-// Structural operations on graphs. These are used by the experiments to
-// widen the instance families (e.g. line graphs turn edge-selection games
-// into vertex-selection ones) and by tests as independent oracles.
-
-// Complement returns the simple complement of g: same vertices, an edge
-// exactly where g has none.
-// O(n^2) insertions; allocates the returned graph.
-func (g *Graph) Complement() *Graph {
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for v := u + 1; v < g.n; v++ {
-			if !g.HasEdge(u, v) {
-				c.mustAddEdge(u, v)
-			}
-		}
-	}
-	return c
-}
-
-// LineGraph returns L(G): one vertex per edge of g (indexed by edge id),
-// with two vertices adjacent iff the underlying edges share an endpoint.
-// Defender tuples of Π_k(G) correspond to k-vertex subsets of L(G);
-// tuples of pairwise disjoint edges correspond to independent sets.
-// O(Σ d(v)^2) insertions; allocates the returned graph.
-func (g *Graph) LineGraph() *Graph {
-	m := g.NumEdges()
-	l := New(m)
-	for i := 0; i < m; i++ {
-		ei := g.EdgeByID(i)
-		for j := i + 1; j < m; j++ {
-			ej := g.EdgeByID(j)
-			if ej.Has(ei.U) || ej.Has(ei.V) {
-				l.mustAddEdge(i, j)
-			}
-		}
-	}
-	return l
-}
+// Structural operations on graphs, used by the experiments to widen the
+// instance families.
 
 // DisjointUnion returns the graph consisting of g followed by h on a
 // shifted vertex range, along with the offset of h's vertices.
@@ -125,16 +87,4 @@ func Caterpillar(s, legs int) *Graph {
 		}
 	}
 	return g
-}
-
-// MustEdge returns the edge {u, v} of g, panicking if absent — a test and
-// example helper for statically-known edges.
-// O(1) expected, does not allocate (panics on a missing edge).
-func (g *Graph) MustEdge(u, v int) Edge {
-	if !g.HasEdge(u, v) {
-		// lint:invariant(nakedpanic): Must* helper; panicking on a statically-known
-		// edge that is absent is the documented contract.
-		panic(fmt.Sprintf("graph: edge (%d,%d) not present", u, v))
-	}
-	return NewEdge(u, v)
 }

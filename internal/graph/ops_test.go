@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -184,4 +185,49 @@ func TestMustEdge(t *testing.T) {
 		}
 	}()
 	g.MustEdge(0, 2)
+}
+
+// Complement returns the simple complement of g: same vertices, an edge
+// exactly where g has none.
+// O(n^2) insertions; allocates the returned graph.
+func (g *Graph) Complement() *Graph {
+	c := New(g.n)
+	for u := 0; u < g.n; u++ {
+		for v := u + 1; v < g.n; v++ {
+			if !g.HasEdge(u, v) {
+				c.mustAddEdge(u, v)
+			}
+		}
+	}
+	return c
+}
+
+// LineGraph returns L(G): one vertex per edge of g (indexed by edge id),
+// with two vertices adjacent iff the underlying edges share an endpoint.
+// Defender tuples of Π_k(G) correspond to k-vertex subsets of L(G);
+// tuples of pairwise disjoint edges correspond to independent sets.
+// O(Σ d(v)^2) insertions; allocates the returned graph.
+func (g *Graph) LineGraph() *Graph {
+	m := g.NumEdges()
+	l := New(m)
+	for i := 0; i < m; i++ {
+		ei := g.EdgeByID(i)
+		for j := i + 1; j < m; j++ {
+			ej := g.EdgeByID(j)
+			if ej.Has(ei.U) || ej.Has(ei.V) {
+				l.mustAddEdge(i, j)
+			}
+		}
+	}
+	return l
+}
+
+// MustEdge returns the edge {u, v} of g, panicking if absent — a test and
+// example helper for statically-known edges.
+// O(1) expected, does not allocate (panics on a missing edge).
+func (g *Graph) MustEdge(u, v int) Edge {
+	if !g.HasEdge(u, v) {
+		panic(fmt.Sprintf("graph: edge (%d,%d) not present", u, v))
+	}
+	return NewEdge(u, v)
 }

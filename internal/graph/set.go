@@ -63,70 +63,6 @@ func SetsEqual(a, b []int) bool {
 	return true
 }
 
-// SetUnion returns the sorted union of two sorted sets.
-// O(|a| + |b|); allocates the result.
-func SetUnion(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// SetIntersection returns the sorted intersection of two sorted sets.
-// O(|a| + |b|); allocates the result.
-func SetIntersection(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// SetDifference returns the sorted elements of a not present in b.
-// O(|a| + |b|); allocates the result.
-func SetDifference(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) {
-		switch {
-		case j >= len(b) || a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // IsPartition reports whether sorted sets a and b partition 0..n-1.
 // O(n), does not allocate.
 func IsPartition(a, b []int, n int) bool {

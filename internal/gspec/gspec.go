@@ -23,12 +23,12 @@ import (
 
 // Parse resolves a spec into a graph, reading stdin for "-".
 func Parse(spec string) (*graph.Graph, error) {
-	return ParseFrom(spec, os.Stdin)
+	return parseFrom(spec, os.Stdin)
 }
 
-// ParseFrom is Parse with an explicit reader backing the "-" spec, for
+// parseFrom is Parse with an explicit reader backing the "-" spec, for
 // testability.
-func ParseFrom(spec string, stdin io.Reader) (*graph.Graph, error) {
+func parseFrom(spec string, stdin io.Reader) (*graph.Graph, error) {
 	if spec == "-" {
 		return graph.Parse(stdin)
 	}

@@ -83,51 +83,6 @@ type Solution struct {
 	Dual []*big.Rat
 }
 
-// Maximize solves
-//
-//	max  c·x   subject to   A x <= b,   x >= 0
-//
-// exactly. b may have negative entries; a phase-one start is used when
-// needed. Inputs are not mutated.
-func Maximize(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) (Solution, error) {
-	p, err := newProgram(c, a, b)
-	if err != nil {
-		return Solution{}, err
-	}
-	s, err := p.solve(context.Background()) // never cancelled
-	return s.solution(), err
-}
-
-// newProgram validates a dense program and reads its nonzeros into
-// sparse columns.
-func newProgram(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) (*program, error) {
-	n, m := len(c), len(a)
-	if len(b) != m {
-		return nil, fmt.Errorf("%w: %d constraint rows but %d bounds", ErrBadProgram, m, len(b))
-	}
-	for j, cj := range c {
-		if cj == nil {
-			return nil, fmt.Errorf("%w: nil objective coefficient %d", ErrBadProgram, j)
-		}
-	}
-	for i, row := range a {
-		if len(row) != n {
-			return nil, fmt.Errorf("%w: row %d has %d coefficients, want %d", ErrBadProgram, i, len(row), n)
-		}
-		for j, e := range row {
-			if e == nil {
-				return nil, fmt.Errorf("%w: nil coefficient at (%d,%d)", ErrBadProgram, i, j)
-			}
-		}
-		if b[i] == nil {
-			return nil, fmt.Errorf("%w: nil bound %d", ErrBadProgram, i)
-		}
-	}
-	p := sparseProgram(m, n, func(e *rat.Rat, i, j int) { e.SetBig(a[i][j]) })
-	p.c, p.b = rat.FromBig(c), rat.FromBig(b)
-	return p, nil
-}
-
 // program is  max c·x  s.t.  (A + shift·J) x <= b, x >= 0  with J the
 // all-ones matrix and A in sparse columns: column j's nonzeros are
 // rows/vals[colPtr[j]:colPtr[j+1]]. Only the zero-sum reduction sets a

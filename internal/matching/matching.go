@@ -33,18 +33,6 @@ func NewMateArray(n int) []int {
 	return mate
 }
 
-// CloneMate returns an independent copy of a mate array. Concurrency-safe
-// caches hand out clones so a caller mutating its copy cannot corrupt the
-// cached matching. O(n); allocates the copy.
-func CloneMate(mate []int) []int {
-	if mate == nil {
-		return nil
-	}
-	out := make([]int, len(mate))
-	copy(out, mate)
-	return out
-}
-
 // Size returns the number of edges in the matching encoded by mate.
 // O(n), does not allocate.
 func Size(mate []int) int {

@@ -93,18 +93,3 @@ func TestVerifyRejectsCorruptMateArrays(t *testing.T) {
 		})
 	}
 }
-
-func TestCloneMate(t *testing.T) {
-	if CloneMate(nil) != nil {
-		t.Error("CloneMate(nil) must be nil")
-	}
-	mate := []int{1, 0, Unmatched}
-	clone := CloneMate(mate)
-	if len(clone) != len(mate) {
-		t.Fatalf("clone length %d, want %d", len(clone), len(mate))
-	}
-	clone[0] = 99
-	if mate[0] != 1 {
-		t.Error("mutating the clone changed the original")
-	}
-}

@@ -146,14 +146,6 @@ func (h *Histogram) observe(v float64, traceID string) {
 	}
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the running total of all observations.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -162,11 +154,11 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) by nearest rank over
+// quantile estimates the q-th quantile (0 < q <= 1) by nearest rank over
 // the buckets, clamped into the exact observed [min, max] range — so a
 // single-observation histogram reports that observation exactly. Returns 0
 // on an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
@@ -268,9 +260,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Sum:     h.Sum(),
 		Min:     math.Float64frombits(h.minBits.Load()),
 		Max:     math.Float64frombits(h.maxBits.Load()),
-		P50:     h.Quantile(0.50),
-		P95:     h.Quantile(0.95),
-		P99:     h.Quantile(0.99),
+		P50:     h.quantile(0.50),
+		P95:     h.quantile(0.95),
+		P99:     h.quantile(0.99),
 		Buckets: buckets,
 	}
 }

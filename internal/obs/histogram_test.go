@@ -25,7 +25,7 @@ func TestHistogramBasicStats(t *testing.T) {
 	}
 }
 
-// Quantile estimates land within one geometric bucket (±25% relative) of
+// quantile estimates land within one geometric bucket (±25% relative) of
 // the true order statistic, and are clamped into the observed range.
 func TestHistogramQuantileAccuracy(t *testing.T) {
 	r := enabledRegistry()
@@ -42,12 +42,12 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		{0.99, 0.990},
 	}
 	for _, c := range checks {
-		got := h.Quantile(c.q)
+		got := h.quantile(c.q)
 		if got < c.want*0.75 || got > c.want*1.30 {
 			t.Errorf("q%.0f = %v, want within a bucket of %v", c.q*100, got, c.want)
 		}
 	}
-	if p100 := h.Quantile(1); math.Abs(p100-1.0) > 1e-12 {
+	if p100 := h.quantile(1); math.Abs(p100-1.0) > 1e-12 {
 		t.Errorf("q100 = %v, want exactly the max 1.0", p100)
 	}
 }
@@ -202,4 +202,12 @@ func TestHistogramConcurrent(t *testing.T) {
 	if math.Abs(h.Sum()-want) > 1e-9 {
 		t.Errorf("sum = %v, want %v (CAS accumulation must not lose updates)", h.Sum(), want)
 	}
+}
+
+// Count returns the number of observations so far.
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
 }

@@ -9,7 +9,7 @@ import (
 	"sync"
 )
 
-// NewDebugMux builds the handler behind the -debug-addr flag of
+// newDebugMux builds the handler behind the -debug-addr flag of
 // cmd/experiments and cmd/defender:
 //
 //	/metrics            the registry snapshot as indented JSON; with
@@ -23,7 +23,7 @@ import (
 //
 // The pprof handlers are wired explicitly rather than via the package's
 // import side effect, so nothing is registered on http.DefaultServeMux.
-func NewDebugMux(r *Registry) *http.ServeMux {
+func newDebugMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		switch metricsFormat(req) {
@@ -87,18 +87,18 @@ func metricsFormat(req *http.Request) int {
 // duplicate registration.
 var publishOnce sync.Once
 
-// PublishExpvar exposes r's live snapshot under the expvar name
+// publishExpvar exposes r's live snapshot under the expvar name
 // "defender.metrics", so /debug/vars carries the same numbers as /metrics.
 // Only the first registry published wins; later calls are no-ops (expvar
 // names are process-global and permanent).
-func PublishExpvar(r *Registry) {
+func publishExpvar(r *Registry) {
 	publishOnce.Do(func() {
 		expvar.Publish("defender.metrics", expvar.Func(func() any { return r.Snapshot() }))
 	})
 }
 
 // StartDebugServer binds addr (e.g. "localhost:6060"; a ":0" port picks a
-// free one), publishes r to expvar, and serves NewDebugMux(r) on a
+// free one), publishes r to expvar, and serves newDebugMux(r) on a
 // background goroutine for the life of the process. It returns the bound
 // address, so callers can log the resolved port.
 func StartDebugServer(addr string, r *Registry) (net.Addr, error) {
@@ -114,8 +114,8 @@ func StartDebugServerWith(addr string, r *Registry, extra map[string]http.Handle
 	if err != nil {
 		return nil, err
 	}
-	PublishExpvar(r)
-	mux := NewDebugMux(r)
+	publishExpvar(r)
+	mux := newDebugMux(r)
 	for pattern, h := range extra {
 		mux.Handle(pattern, h)
 	}

@@ -11,7 +11,7 @@ import (
 func TestDebugMuxMetricsEndpoint(t *testing.T) {
 	r := enabledRegistry()
 	r.Counter("demo.hits").Add(7)
-	srv := httptest.NewServer(NewDebugMux(r))
+	srv := httptest.NewServer(newDebugMux(r))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -36,7 +36,7 @@ func TestDebugMuxMetricsEndpoint(t *testing.T) {
 
 func TestDebugMuxPprofAndExpvar(t *testing.T) {
 	r := enabledRegistry()
-	srv := httptest.NewServer(NewDebugMux(r))
+	srv := httptest.NewServer(newDebugMux(r))
 	defer srv.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/vars"} {
 		resp, err := http.Get(srv.URL + path)

@@ -8,7 +8,7 @@
 //
 //  1. Hot paths pay ~nothing when disabled. The process-wide Default
 //     registry starts disabled; every record operation is a single atomic
-//     load and branch in that state, and StartSpan returns an inert Span
+//     load and branch in that state, and StartSpanCtx returns an inert Span
 //     without allocating. Instrumented packages therefore create their
 //     metric handles unconditionally at init and never guard call sites.
 //  2. No dependencies beyond the standard library, matching the rest of
@@ -17,8 +17,8 @@
 //     strictly write-only from the instrumented code's point of view; the
 //     golden-table suite runs with metrics enabled to prove it.
 //
-// Metric names are dot-separated lowercase paths ("experiments.cache.
-// matching.hits"); every name used by this repository is catalogued with
+// Metric names are dot-separated lowercase paths ("experiments.cells.
+// started"); every name used by this repository is catalogued with
 // its meaning and unit in OBSERVABILITY.md.
 package obs
 
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -250,17 +249,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(data, '\n'))
 	return err
-}
-
-// CounterNames returns the sorted names of all registered counters —
-// convenience for tests and for the OBSERVABILITY.md catalogue check.
-func (r *Registry) CounterNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -62,7 +63,7 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	c.Add(2)
 	g.Set(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.quantile(0.5) != 0 {
 		t.Error("nil metric handles must read as zero")
 	}
 	if s := h.Snapshot(); s.Count != 0 {
@@ -178,4 +179,17 @@ func TestCounterNamesSorted(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("CounterNames = %v, want [a b]", names)
 	}
+}
+
+// CounterNames returns the sorted names of all registered counters —
+// convenience for tests and for the OBSERVABILITY.md catalogue check.
+func (r *Registry) CounterNames() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.counters))
+	for name := range r.counters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -26,7 +26,7 @@ const (
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format 0.0.4, so the -debug-addr server is scrapeable by
 // standard collectors (GET /metrics?format=prometheus, or an Accept
-// header asking for text; see NewDebugMux). Without external
+// header asking for text; see newDebugMux). Without external
 // dependencies the encoding is done by hand, which the format is
 // explicitly designed to allow.
 //

@@ -226,7 +226,7 @@ func TestDebugMuxMetricsContentNegotiation(t *testing.T) {
 	r := enabledRegistry()
 	r.Counter("nego.hits").Add(3)
 	r.Histogram("nego.seconds").Observe(0.25)
-	srv := httptest.NewServer(NewDebugMux(r))
+	srv := httptest.NewServer(newDebugMux(r))
 	defer srv.Close()
 
 	get := func(path string, accept string) (string, string) {

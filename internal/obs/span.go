@@ -7,16 +7,16 @@ import (
 	"time"
 )
 
-// Span is one timed region of work, produced by Registry.StartSpan (a
-// free-standing span) or Registry.StartSpanCtx (a span correlated into a
-// request trace) and closed by End. Ending a span does two things: it
+// Span is one timed region of work, produced by Registry.StartSpanCtx
+// (correlated into a request trace when ctx carries one, free-standing
+// otherwise) and closed by End. Ending a span does two things: it
 // observes the duration into the histogram "<name>.seconds" of the owning
 // registry — attaching the trace ID as that bucket's exemplar when the
 // span belongs to a sampled trace — and, if a trace writer is installed
 // (SetTraceWriter, the -trace-out flag), emits one JSONL SpanEvent.
 //
 // A Span from a disabled registry is inert: the zero value, whose methods
-// do nothing, so `sp := reg.StartSpan(...); defer sp.End()` is safe and
+// do nothing, so `sp, _ := reg.StartSpanCtx(...); defer sp.End()` is safe and
 // allocation-free on disabled hot paths.
 type Span struct {
 	reg   *Registry
@@ -56,21 +56,12 @@ type SpanEvent struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// StartSpan opens a free-standing span named name, uncorrelated to any
-// trace. While the registry is disabled this returns the inert zero Span.
-func (r *Registry) StartSpan(name string) Span {
-	if !r.on() {
-		return Span{}
-	}
-	return Span{reg: r, name: name, start: time.Now()}
-}
-
 // StartSpanCtx opens a span named name under ctx's TraceContext and
 // returns, alongside the span, a derived context in which the new span is
 // the parent — pass it down so nested StartSpanCtx calls build the trace
-// tree. When ctx carries no trace the span behaves exactly like
-// StartSpan and ctx is returned unchanged; while the registry is
-// disabled both returns are inert.
+// tree. When ctx carries no trace the span is free-standing and ctx is
+// returned unchanged; while the registry is disabled both returns are
+// inert.
 func (r *Registry) StartSpanCtx(ctx context.Context, name string) (Span, context.Context) {
 	if !r.on() {
 		return Span{}, ctx
@@ -87,10 +78,6 @@ func (r *Registry) StartSpanCtx(ctx context.Context, name string) (Span, context
 	child := TraceContext{TraceID: tc.TraceID, SpanID: sp.spanID, Sampled: tc.Sampled}
 	return sp, ContextWithTrace(ctx, child)
 }
-
-// TraceID returns the span's trace ID ("" on free-standing or inert
-// spans).
-func (s *Span) TraceID() string { return s.traceID }
 
 // Annotate attaches a key/value pair to the span, visible in the JSONL
 // event. No-op on an inert span.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSpanRecordsHistogramAndEvent(t *testing.T) {
@@ -97,3 +98,16 @@ func TestSpanTraceWriterSerialized(t *testing.T) {
 		t.Fatalf("trace has %d lines, want %d", lines, spans)
 	}
 }
+
+// StartSpan opens a free-standing span named name, uncorrelated to any
+// trace. While the registry is disabled this returns the inert zero Span.
+func (r *Registry) StartSpan(name string) Span {
+	if !r.on() {
+		return Span{}
+	}
+	return Span{reg: r, name: name, start: time.Now()}
+}
+
+// TraceID returns the span's trace ID ("" on free-standing or inert
+// spans).
+func (s *Span) TraceID() string { return s.traceID }

@@ -159,14 +159,7 @@ func TestPoolRoundTrip(t *testing.T) {
 		t.Fatalf("GetInt32(500) len = %d", len(s2))
 	}
 	PutInt32(s2)
-
-	b := GetInt8(64)
-	if len(b) != 64 {
-		t.Fatalf("GetInt8(64) len = %d", len(b))
-	}
-	PutInt8(b)
 	PutInt32(nil) // nil is a no-op, not a poison pill
-	PutInt8(nil)
 }
 
 // TestForParallelFaultScan exercises the canonical find-first-error shape

@@ -2,12 +2,12 @@ package par
 
 import "sync"
 
-// Scratch pools: the sparse hot paths (Hopcroft–Karp phases, the Theorem
-// 3.4 verifier, BFS bipartition) need O(n) int32/int8 scratch per solve,
-// and under defenderd traffic a fresh make per solve churns the GC. The
-// pools hand back previously used slices re-sliced to the requested
-// length; contents are UNSPECIFIED — callers own (re)initialization,
-// which they need for determinism anyway. An undersized pool entry is
+// Scratch pool: the sparse hot paths (Hopcroft–Karp phases, the Theorem
+// 3.4 verifier) need O(n) int32 scratch per solve, and under defenderd
+// traffic a fresh make per solve churns the GC. The pool hands back
+// previously used slices re-sliced to the requested length; contents are
+// UNSPECIFIED — callers own (re)initialization, which they need for
+// determinism anyway. An undersized pool entry is
 // dropped for the GC and replaced by a fresh make, so a mixed-size
 // workload degenerates to allocation, never to corruption.
 
@@ -35,30 +35,4 @@ func PutInt32(s []int32) {
 		*p = s[:0]
 	}
 	int32Pool.Put(p)
-}
-
-var int8Pool = sync.Pool{New: func() any { return new([]int8) }}
-
-// GetInt8 returns a []int8 of length n with arbitrary contents.
-func GetInt8(n int) []int8 {
-	p := int8Pool.Get().(*[]int8)
-	s := *p
-	*p = nil
-	int8Pool.Put(p)
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int8, n)
-}
-
-// PutInt8 returns s to the pool. The caller must not retain s.
-func PutInt8(s []int8) {
-	if cap(s) == 0 {
-		return
-	}
-	p := int8Pool.Get().(*[]int8)
-	if cap(*p) < cap(s) {
-		*p = s[:0]
-	}
-	int8Pool.Put(p)
 }

@@ -44,7 +44,7 @@ func BenchmarkMulSmall(b *testing.B) {
 		w := workload[i%len(workload)]
 		term.SetFrac64(w[0], w[1])
 		acc.Mul(&acc, &term)
-		if !acc.IsSmall() {
+		if acc.isBig() {
 			acc.SetFrac64(355, 113) // keep the loop on the fast path
 		}
 	}

@@ -50,10 +50,6 @@ func (x *Rat) parts() (int64, int64) {
 
 func (x *Rat) isBig() bool { return x.p != nil }
 
-// IsSmall reports whether x currently fits the int64 fast path. It is a
-// diagnostic for tests and benchmarks; arithmetic handles both forms.
-func (x *Rat) IsSmall() bool { return !x.isBig() }
-
 // Frac64 returns the normalized numerator and denominator when x is
 // small, with ok=false when x has been promoted beyond int64 range.
 func (x *Rat) Frac64() (num, den int64, ok bool) {
@@ -132,16 +128,11 @@ func (z *Rat) SetBig(r *big.Rat) *Rat {
 
 // Big returns x as a freshly allocated big.Rat.
 func (x *Rat) Big() *big.Rat {
-	return x.ToBig(new(big.Rat))
-}
-
-// ToBig writes x into dst and returns dst.
-func (x *Rat) ToBig(dst *big.Rat) *big.Rat {
 	if x.isBig() {
-		return dst.Set(x.p)
+		return new(big.Rat).Set(x.p)
 	}
 	n, d := x.parts()
-	return dst.SetFrac64(n, d)
+	return new(big.Rat).SetFrac64(n, d)
 }
 
 // bigVal returns a read-only big.Rat view of x, allocating only for

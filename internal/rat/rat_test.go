@@ -36,8 +36,8 @@ func TestZeroValueIsZero(t *testing.T) {
 	}
 	var w Rat
 	w.Add(&z, &z)
-	if w.Sign() != 0 || !w.IsSmall() {
-		t.Fatalf("0+0 = %v (small=%v)", w.String(), w.IsSmall())
+	if w.Sign() != 0 || w.isBig() {
+		t.Fatalf("0+0 = %v (small=%v)", w.String(), !w.isBig())
 	}
 	one := new(Rat).SetInt64(1)
 	if z.Cmp(one) != -1 || one.Cmp(&z) != 1 {
@@ -74,7 +74,7 @@ func TestSetFrac64Normalizes(t *testing.T) {
 func TestSetFrac64PromotesUnrepresentable(t *testing.T) {
 	var z Rat
 	z.SetFrac64(1, math.MinInt64)
-	if z.IsSmall() {
+	if !z.isBig() {
 		t.Fatal("1/MinInt64 should promote (denominator 2^63)")
 	}
 	want := new(big.Rat).SetFrac(big.NewInt(1), big.NewInt(math.MinInt64))
@@ -87,7 +87,7 @@ func TestSetFrac64PromotesUnrepresentable(t *testing.T) {
 	if w.Sign() <= 0 || w.Cmp(new(Rat).SetInt64(1)) != 0 {
 		t.Fatalf("(1/MinInt64)·MinInt64 = %v, want 1", w.String())
 	}
-	if !w.IsSmall() {
+	if w.isBig() {
 		t.Error("product fits int64 but did not demote")
 	}
 }
@@ -130,8 +130,8 @@ func runPromotionCase(t *testing.T, c promotionCase) {
 	if bigOf(&z).Cmp(want) != 0 {
 		t.Fatalf("%s: got %v, want %v", c.name, z.String(), want.RatString())
 	}
-	if z.IsSmall() != c.wantSmallAfter {
-		t.Errorf("%s: IsSmall = %v, want %v", c.name, z.IsSmall(), c.wantSmallAfter)
+	if !z.isBig() != c.wantSmallAfter {
+		t.Errorf("%s: IsSmall = %v, want %v", c.name, !z.isBig(), c.wantSmallAfter)
 	}
 }
 
@@ -232,7 +232,7 @@ func TestCmpAcrossBoundary(t *testing.T) {
 	var big1, small1 Rat
 	big1.Add(new(Rat).SetInt64(math.MaxInt64), new(Rat).SetInt64(1)) // promoted 2^63
 	small1.SetInt64(math.MaxInt64)
-	if big1.IsSmall() {
+	if !big1.isBig() {
 		t.Fatal("MaxInt64+1 should be promoted")
 	}
 	if big1.Cmp(&small1) != 1 || small1.Cmp(&big1) != -1 {
@@ -269,7 +269,7 @@ func TestSetBigDemotes(t *testing.T) {
 		new(big.Int).Lsh(big.NewInt(1), 80), big.NewInt(3))
 	var z Rat
 	z.SetBig(huge)
-	if z.IsSmall() {
+	if !z.isBig() {
 		t.Fatal("2^80/3 should be promoted")
 	}
 	if bigOf(&z).Cmp(huge) != 0 {
@@ -282,7 +282,7 @@ func TestSetBigDemotes(t *testing.T) {
 		t.Fatal("SetBig aliased its argument")
 	}
 	z.SetBig(big.NewRat(22, 7))
-	if !z.IsSmall() {
+	if z.isBig() {
 		t.Fatal("22/7 should demote to small form")
 	}
 	if n, d, ok := z.Frac64(); !ok || n != 22 || d != 7 {
@@ -293,7 +293,7 @@ func TestSetBigDemotes(t *testing.T) {
 func TestNegInvBoundaries(t *testing.T) {
 	var z Rat
 	z.Neg(new(Rat).SetInt64(math.MinInt64))
-	if z.IsSmall() {
+	if !z.isBig() {
 		t.Fatal("-MinInt64 must promote")
 	}
 	want := new(big.Rat).Neg(big.NewRat(math.MinInt64, 1))
@@ -302,11 +302,11 @@ func TestNegInvBoundaries(t *testing.T) {
 	}
 	var w Rat
 	w.Inv(new(Rat).SetInt64(math.MinInt64))
-	if w.IsSmall() {
+	if !w.isBig() {
 		t.Fatal("1/MinInt64 must promote")
 	}
 	w.Inv(new(Rat).SetFrac64(-3, 5))
-	if !w.IsSmall() {
+	if w.isBig() {
 		t.Fatal("Inv(-3/5) should stay small")
 	}
 	if got := w.String(); got != "-5/3" {
@@ -322,7 +322,7 @@ func TestVecRoundTrip(t *testing.T) {
 		big.NewRat(-5, 2),
 	}
 	v := FromBig(src)
-	if !v[0].IsSmall() || !v[1].IsSmall() || v[2].IsSmall() || !v[3].IsSmall() {
+	if v[0].isBig() || v[1].isBig() || !v[2].isBig() || v[3].isBig() {
 		t.Fatal("FromBig small/promoted split wrong")
 	}
 	out := v.ToBig()
@@ -338,11 +338,6 @@ func TestVecRoundTrip(t *testing.T) {
 		t.Error("ToBig aliased vector state")
 	}
 
-	cl := v.Clone()
-	cl[0].SetInt64(8)
-	if v[0].Big().Cmp(big.NewRat(1, 3)) != 0 {
-		t.Error("Clone shares mutable state")
-	}
 	var sum Rat
 	v.Sum(&sum)
 	want := new(big.Rat).Add(src[0], src[2])

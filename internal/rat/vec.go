@@ -34,14 +34,6 @@ func (v Vec) ToBig() []*big.Rat {
 	return out
 }
 
-// Clone returns an independent copy of v. Promoted entries share their
-// immutable big.Rat payloads, which no operation mutates in place.
-func (v Vec) Clone() Vec {
-	out := make(Vec, len(v))
-	copy(out, v)
-	return out
-}
-
 // Zero resets every entry of v to 0, keeping the storage.
 func (v Vec) Zero() {
 	for i := range v {

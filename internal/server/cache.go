@@ -103,10 +103,3 @@ func (c *solveCache) Do(ctx context.Context, key string, compute func() (*SolveR
 	close(e.ready)
 	return e.res, e.err
 }
-
-// Len reports the number of completed entries.
-func (c *solveCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.done)
-}

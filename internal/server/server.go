@@ -166,7 +166,7 @@ func New(cfg Config) *Server {
 
 // Handler returns the public API handler: the route mux wrapped in the
 // per-request observability layer (ingress). Debug surfaces (/metrics,
-// pprof, /slo) live on the separate mux of obs.NewDebugMux, bound
+// pprof, /slo) live on the separate mux of obs.StartDebugServer, bound
 // privately by cmd/defenderd.
 func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serveTraced) }
 

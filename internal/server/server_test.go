@@ -637,13 +637,17 @@ func graph6Body(t *testing.T, g *graph.Graph, k int) string {
 	return fmt.Sprintf(`{"graph6":%q,"k":%d}`, g6, k)
 }
 
-// oneMatchingCases are one cache-miss solve per equilibrium family.
-var oneMatchingCases = []struct {
+// familyCase is one solve request and the equilibrium family that
+// answers it.
+type familyCase struct {
 	name   string
 	g      *graph.Graph
 	k      int
 	family string
-}{
+}
+
+// oneMatchingCases are one cache-miss solve per equilibrium family.
+var oneMatchingCases = []familyCase{
 	{"grid34", graph.Grid(3, 4), 2, "k-matching"},
 	{"petersen", graph.Petersen(), 5, "perfect-matching"},
 	{"C5", graph.Cycle(5), 2, "lp-minimax"},
@@ -725,5 +729,113 @@ func TestLPMinimaxDeadlineFreesWorker(t *testing.T) {
 	}
 	if w := do(s, http.MethodPost, "/v1/solve", `{"n":2,"edges":[[0,1]],"k":1}`); w.Code != http.StatusOK {
 		t.Errorf("next request on the freed worker: status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// Len reports the number of completed entries.
+func (c *solveCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.done)
+}
+
+// completeGraph6 spells K_n in graph6 without building the graph: the
+// long-form header, then every adjacency bit set, with the final byte's
+// padding bits zero.
+func completeGraph6(n int) string {
+	var sb strings.Builder
+	sb.WriteByte('~')
+	sb.WriteByte(byte(n>>12&63 + 63))
+	sb.WriteByte(byte(n>>6&63 + 63))
+	sb.WriteByte(byte(n&63 + 63))
+	bits := n * (n - 1) / 2
+	full, rest := bits/6, bits%6
+	sb.WriteString(strings.Repeat("~", full))
+	if rest > 0 {
+		sb.WriteByte(byte(63 + (1<<rest-1)<<(6-rest)))
+	}
+	return sb.String()
+}
+
+// TestOversizedGraph6RefusedFromHeader: a graph6 body under MaxBodyBytes
+// can still declare thousands of vertices. K_3500 is 1,020,565 bytes of
+// JSON; decoding it would build a 6.1-million-edge graph in the handler
+// goroutine, outside the broker's bounded pool. The server must answer
+// 422 graph_too_large from the header alone.
+func TestOversizedGraph6RefusedFromHeader(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.MaxVertices = 256 })
+	g6 := completeGraph6(3500)
+	if _, err := graph.Graph6Order(g6); err != nil {
+		t.Fatalf("fixture is not graph6: %v", err)
+	}
+	body := `{"graph6":"` + g6 + `","k":1}`
+	if len(body) >= 1<<20 {
+		t.Fatalf("body is %d bytes, want it under the default 1 MiB MaxBodyBytes", len(body))
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body))
+	w := httptest.NewRecorder()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s.Handler().ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %.200s", w.Code, w.Body.String())
+	}
+	eb := decodeError(t, w)
+	if eb.Error.Code != CodeGraphTooLarge || eb.Error.Message != "n=3500 exceeds the server cap of 256 vertices" {
+		t.Errorf("error = %+v", eb.Error)
+	}
+	const limit = 8 << 20
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("refusal allocated %.2f MB", float64(alloc)/(1<<20))
+	if alloc > limit {
+		t.Errorf("refusing the request allocated %.1f MB, want < %d MB", float64(alloc)/(1<<20), limit>>20)
+	}
+}
+
+// TestCachedResponseMatchesFreshSolve (ROADMAP item 6, cache correctness):
+// the body a warm server returns from its cache is byte-identical to a
+// fresh server's cache-miss body, except for the cached flag and the
+// volatile solve_ms. The inputs are one cache miss per equilibrium family
+// plus the greedy-miss graph only the exact Cor 4.11 route solves.
+func TestCachedResponseMatchesFreshSolve(t *testing.T) {
+	g6, err := os.ReadFile("../cover/testdata/greedy_miss.g6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedyMiss, err := graph.ParseGraph6(strings.TrimSpace(string(g6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append([]familyCase{{"greedy_miss", greedyMiss, 4, "k-matching"}}, oneMatchingCases...)
+
+	normalize := func(t *testing.T, w *httptest.ResponseRecorder, wantCached bool) string {
+		t.Helper()
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		if got := decodeSolve(t, w).Cached; got != wantCached {
+			t.Fatalf("cached = %v, want %v", got, wantCached)
+		}
+		body := solveMSRe.ReplaceAllString(w.Body.String(), `${1}0`)
+		return strings.Replace(body, `"cached": true`, `"cached": false`, 1)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := graph6Body(t, tc.g, tc.k)
+			warm := newTestServer(t)
+			normalize(t, do(warm, http.MethodPost, "/v1/solve", body), false)
+			hit := normalize(t, do(warm, http.MethodPost, "/v1/solve", body), true)
+			w := do(newTestServer(t), http.MethodPost, "/v1/solve", body)
+			if fresh := normalize(t, w, false); hit != fresh {
+				t.Errorf("cached body differs from a fresh solve:\ncached: %s\nfresh:  %s", hit, fresh)
+			}
+			if res := decodeSolve(t, w).Result; res.MixedNE == nil || res.MixedNE.Family != tc.family {
+				t.Errorf("want the %s family: %+v", tc.family, res.MixedNE)
+			}
+		})
 	}
 }

@@ -77,6 +77,13 @@ func buildGraph(req *SolveRequest, maxVertices int) (*graph.Graph, string, *apiE
 	}
 	var g *graph.Graph
 	if hasG6 {
+		// Refuse an oversized graph from its header, before the O(n²)
+		// decode: a body under MaxBodyBytes can declare thousands of
+		// vertices, and this runs outside the broker's bounded pool.
+		if n, err := graph.Graph6Order(req.Graph6); err == nil && n > maxVertices {
+			return nil, "", errBad(http.StatusUnprocessableEntity, CodeGraphTooLarge,
+				"n=%d exceeds the server cap of %d vertices", n, maxVertices)
+		}
 		parsed, err := graph.ParseGraph6(req.Graph6)
 		if err != nil {
 			return nil, "", errBad(http.StatusBadRequest, CodeBadGraph6, "%v", err)
@@ -97,10 +104,6 @@ func buildGraph(req *SolveRequest, maxVertices int) (*graph.Graph, string, *apiE
 			}
 		}
 		g = built
-	}
-	if g.NumVertices() > maxVertices {
-		return nil, "", errBad(http.StatusUnprocessableEntity, CodeGraphTooLarge,
-			"n=%d exceeds the server cap of %d vertices", g.NumVertices(), maxVertices)
 	}
 	if g.HasIsolatedVertex() {
 		return nil, "", errBad(http.StatusUnprocessableEntity, CodeIsolatedVertex,

@@ -191,28 +191,3 @@ func Run(gm *game.Game, mp game.MixedProfile, rounds int, seed int64) (Result, e
 		ExpectedCaught: expected,
 	}, nil
 }
-
-// BestResponseGain estimates, by simulation against the defender's marginal
-// coverage, how much a single attacker could gain by relocating to the
-// least-covered vertex instead of playing its equilibrium strategy. In an
-// exact equilibrium the advantage is zero; the experiments use this as an
-// empirical no-regret check.
-func BestResponseGain(gm *game.Game, mp game.MixedProfile, attacker int) (*big.Rat, error) {
-	if err := gm.Validate(mp); err != nil {
-		return nil, err
-	}
-	if attacker < 0 || attacker >= gm.Attackers() {
-		return nil, fmt.Errorf("sim: attacker index %d out of range", attacker)
-	}
-	hit := gm.HitProbabilities(mp)
-	minHit := new(big.Rat).Set(hit[0])
-	for _, h := range hit[1:] {
-		if h.Cmp(minHit) < 0 {
-			minHit.Set(h)
-		}
-	}
-	// Equilibrium payoff of this attacker.
-	current := gm.ExpectedProfitVP(mp, attacker)
-	best := new(big.Rat).Sub(big.NewRat(1, 1), minHit)
-	return new(big.Rat).Sub(best, current), nil
-}
