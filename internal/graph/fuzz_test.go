@@ -11,8 +11,10 @@ import (
 // strict enough that Parse→Format→Parse is the identity: any accepted
 // string re-encodes byte-identically (after trimming the optional header
 // and whitespace), and the re-parse reproduces the same graph. Strictness
-// is load-bearing — graph6 strings key the structure and solve-response
-// caches, so two spellings of one graph would split cache entries.
+// is load-bearing — graph6 strings key the solve-response cache, so two
+// spellings of one graph would split cache entries. An accepted string
+// must also decode to the graph the one-AddEdge-per-bit reference builds:
+// the same edge IDs and the same adjacency lists.
 func FuzzParseGraph6(f *testing.F) {
 	seeds := []string{
 		"", "@", "A_", "Bw", "Bg", "D??", ">>graph6<<Bw\n",
@@ -49,6 +51,15 @@ func FuzzParseGraph6(f *testing.F) {
 		for _, e := range g.Edges() {
 			if !back.HasEdge(e.U, e.V) {
 				t.Fatalf("round trip dropped edge %v", e)
+			}
+		}
+		ref := parseGraph6Scan(t, trimmed)
+		if !slices.Equal(g.Edges(), ref.Edges()) {
+			t.Fatalf("edge order differs from the AddEdge reference for %q", trimmed)
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			if !slices.Equal(g.Neighbors(v), ref.Neighbors(v)) {
+				t.Fatalf("adjacency of %d differs from the AddEdge reference for %q", v, trimmed)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -24,17 +25,32 @@ var ErrBadGraph6 = errors.New("graph: malformed graph6")
 // vertex count must use its canonical header form, the byte count must
 // match exactly, and padding bits in the final adjacency byte must be
 // zero, so every accepted string satisfies FormatGraph6(ParseGraph6(s)) ==
-// s (after trimming) — the round-trip identity fuzzed by FuzzParseGraph6
-// and relied on by every graph6-keyed cache. Strictness matters beyond
+// TrimGraph6(s) — the round-trip identity fuzzed by FuzzParseGraph6 and
+// relied on by every graph6-keyed cache. Strictness matters beyond
 // hygiene — graph6 strings key defenderd's response cache, and a
-// lax parser would let one graph hide under several keys. O(n^2) (the
-// full upper triangle is scanned); allocates the graph.
+// lax parser would let one graph hide under several keys.
+//
+// Edges are inserted in the format's column-major bit order (j ascending,
+// then i ascending for each edge {i, j}, i < j), which fixes edge IDs and
+// therefore the order of every tuple built on the result. O(n²/6 + m):
+// the adjacency bytes are walked once and all-zero 6-bit groups cost one
+// comparison; allocates the graph with its adjacency lists and edge-index
+// map sized up front.
 func ParseGraph6(s string) (*Graph, error) {
-	s = trimGraph6(s)
-	data := []byte(s)
-	for _, b := range data {
-		if b < 63 || b > 126 {
-			return nil, fmt.Errorf("%w: byte %q out of range", ErrBadGraph6, b)
+	s = TrimGraph6(s)
+	// Set bits past the header, counted while the bytes are range-checked
+	// so the edge list and map can be sized before decoding. A '~' first
+	// byte means the long header; graph6Order rejects every other reading.
+	hdr, m := 1, 0
+	if s != "" && s[0] == 126 {
+		hdr = 4
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < 63 || s[i] > 126 {
+			return nil, fmt.Errorf("%w: byte %q out of range", ErrBadGraph6, s[i])
+		}
+		if i >= hdr {
+			m += bits.OnesCount8(s[i] - 63)
 		}
 	}
 	n, pos, err := graph6Order(s)
@@ -43,31 +59,55 @@ func ParseGraph6(s string) (*Graph, error) {
 	}
 	bitsNeeded := n * (n - 1) / 2
 	bytesNeeded := (bitsNeeded + 5) / 6
-	if len(data)-pos != bytesNeeded {
+	if len(s)-pos != bytesNeeded {
 		return nil, fmt.Errorf("%w: want %d adjacency bytes for n=%d, got %d",
-			ErrBadGraph6, bytesNeeded, n, len(data)-pos)
+			ErrBadGraph6, bytesNeeded, n, len(s)-pos)
 	}
 	// The last adjacency byte's bits beyond x(n-2,n-1) are padding and must
 	// be zero — trailing garbage bits would otherwise parse as a valid graph
 	// and defeat the Format∘Parse = identity round trip.
 	if pad := bytesNeeded*6 - bitsNeeded; pad > 0 {
-		if last := data[pos+bytesNeeded-1] - 63; last&(1<<uint(pad)-1) != 0 {
+		if last := s[pos+bytesNeeded-1] - 63; last&(1<<uint(pad)-1) != 0 {
 			return nil, fmt.Errorf("%w: nonzero padding bits in final adjacency byte", ErrBadGraph6)
 		}
 	}
-	g := New(n)
-	bit := 0
-	for j := 1; j < n; j++ {
-		for i := 0; i < j; i++ {
-			byteIdx := pos + bit/6
-			shift := 5 - bit%6
-			if (data[byteIdx]-63)>>uint(shift)&1 == 1 {
-				if err := g.AddEdge(i, j); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadGraph6, err)
-				}
+	edges := make([]Edge, 0, m)
+	deg := make([]int, n)
+	// x(i, j) is the current group's first bit. The bit off places later
+	// is x(i+off, j), carried into the next columns while i+off >= j.
+	i, j := 0, 1
+	for p := pos; p < len(s); p++ {
+		for x := s[p] - 63; x != 0; {
+			off := bits.LeadingZeros8(x) - 2
+			x &^= 0x20 >> off
+			u, v := i+off, j
+			for u >= v {
+				u, v = u-v, v+1
 			}
-			bit++
+			edges = append(edges, Edge{U: u, V: v})
+			deg[u]++
+			deg[v]++
 		}
+		for i += 6; i >= j; j++ {
+			i -= j
+		}
+	}
+	// In column-major order every vertex meets its smaller neighbours (in
+	// its own column) before its larger ones (in later columns), each run
+	// ascending, so appending in edge order leaves each list sorted. The
+	// lists share one backing array, each capped at its degree so that a
+	// later AddEdge reallocates instead of overwriting a neighbour's list.
+	g := &Graph{n: n, adj: make([][]int, n), edges: edges, edgeIndex: make(map[Edge]int, m)}
+	backing := make([]int, 2*m)
+	for v, d := range deg {
+		if d > 0 {
+			g.adj[v], backing = backing[:0:d], backing[d:]
+		}
+	}
+	for id, e := range edges {
+		g.edgeIndex[e] = id
+		g.adj[e.U] = append(g.adj[e.U], e.V)
+		g.adj[e.V] = append(g.adj[e.V], e.U)
 	}
 	return g, nil
 }
@@ -79,12 +119,18 @@ func ParseGraph6(s string) (*Graph, error) {
 // before paying ParseGraph6's O(n^2) decode. O(1) past the trimming; does
 // not allocate.
 func Graph6Order(s string) (int, error) {
-	n, _, err := graph6Order(trimGraph6(s))
+	n, _, err := graph6Order(TrimGraph6(s))
 	return n, err
 }
 
-// trimGraph6 strips surrounding whitespace and the optional header.
-func trimGraph6(s string) string {
+// TrimGraph6 strips the surrounding whitespace and the optional
+// ">>graph6<<" header that ParseGraph6 tolerates, returning the bytes it
+// decodes. For every line ParseGraph6 accepts, the result is exactly
+// FormatGraph6 of the parsed graph, so a cache keyed on canonical graph6
+// may look a request up by its trimmed string before parsing it: a string
+// that is not canonical never parsed, so it can never have been stored.
+// O(len(s)); does not allocate.
+func TrimGraph6(s string) string {
 	return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(s), ">>graph6<<"))
 }
 
@@ -126,42 +172,35 @@ func graph6Order(s string) (n, pos int, err error) {
 // FormatGraph6 encodes g as a graph6 string. Graphs beyond 258047 vertices
 // are rejected. The encoding is canonical — one byte sequence per graph —
 // so FormatGraph6 inverts ParseGraph6 exactly: Format(Parse(s)) == s for
-// every accepted s, and Parse(Format(g)) reproduces g's edge set. O(n^2);
-// allocates the output string.
+// every accepted s, and Parse(Format(g)) reproduces g's edge set. Each
+// edge {u, v}, u < v, sets bit v(v-1)/2 + u of a zeroed adjacency field,
+// so the cost is O(n²/6 + m) with no edge lookups; allocates the byte
+// field and the output string.
 func FormatGraph6(g *Graph) (string, error) {
 	n := g.NumVertices()
 	if n > 258047 {
 		return "", fmt.Errorf("%w: n=%d too large to encode", ErrBadGraph6, n)
 	}
-	var sb strings.Builder
+	hdr := 1
+	if n > 62 {
+		hdr = 4
+	}
+	buf := make([]byte, hdr+(n*(n-1)/2+5)/6)
 	if n <= 62 {
-		sb.WriteByte(byte(n + 63))
+		buf[0] = byte(n + 63)
 	} else {
-		sb.WriteByte(126)
-		sb.WriteByte(byte(n>>12&63 + 63))
-		sb.WriteByte(byte(n>>6&63 + 63))
-		sb.WriteByte(byte(n&63 + 63))
+		buf[0] = 126
+		buf[1] = byte(n>>12&63 + 63)
+		buf[2] = byte(n>>6&63 + 63)
+		buf[3] = byte(n&63 + 63)
 	}
-	acc, accBits := 0, 0
-	flush := func() {
-		sb.WriteByte(byte(acc + 63))
-		acc, accBits = 0, 0
+	adj := buf[hdr:]
+	for _, e := range g.edges {
+		bit := e.V*(e.V-1)/2 + e.U
+		adj[bit/6] |= 0x20 >> (bit % 6)
 	}
-	for j := 1; j < n; j++ {
-		for i := 0; i < j; i++ {
-			acc <<= 1
-			if g.HasEdge(i, j) {
-				acc |= 1
-			}
-			accBits++
-			if accBits == 6 {
-				flush()
-			}
-		}
+	for i := range adj {
+		adj[i] += 63
 	}
-	if accBits > 0 {
-		acc <<= uint(6 - accBits)
-		flush()
-	}
-	return sb.String(), nil
+	return string(buf), nil
 }

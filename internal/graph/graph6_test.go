@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -165,5 +167,173 @@ func TestPropertyGraph6RoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// formatGraph6Scan is the reference encoder FormatGraph6 replaced: it
+// probes HasEdge for every pair of the upper triangle in bit order,
+// O(n²/2) map lookups. The differential tests hold the edge-list encoder
+// to its output byte for byte.
+func formatGraph6Scan(g *Graph) string {
+	n := g.NumVertices()
+	var sb strings.Builder
+	if n <= 62 {
+		sb.WriteByte(byte(n + 63))
+	} else {
+		sb.WriteByte(126)
+		sb.WriteByte(byte(n>>12&63 + 63))
+		sb.WriteByte(byte(n>>6&63 + 63))
+		sb.WriteByte(byte(n&63 + 63))
+	}
+	acc, accBits := 0, 0
+	for j := 1; j < n; j++ {
+		for i := 0; i < j; i++ {
+			acc <<= 1
+			if g.HasEdge(i, j) {
+				acc |= 1
+			}
+			if accBits++; accBits == 6 {
+				sb.WriteByte(byte(acc + 63))
+				acc, accBits = 0, 0
+			}
+		}
+	}
+	if accBits > 0 {
+		sb.WriteByte(byte(acc<<uint(6-accBits) + 63))
+	}
+	return sb.String()
+}
+
+// parseGraph6Scan is the reference decoder ParseGraph6 replaced: one
+// AddEdge per set bit of the upper triangle, in bit order. The input must
+// already be a valid trimmed graph6 line.
+func parseGraph6Scan(t *testing.T, s string) *Graph {
+	t.Helper()
+	n, pos, err := graph6Order(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(n)
+	bit := 0
+	for j := 1; j < n; j++ {
+		for i := 0; i < j; i++ {
+			if (s[pos+bit/6]-63)>>uint(5-bit%6)&1 == 1 {
+				g.mustAddEdge(i, j)
+			}
+			bit++
+		}
+	}
+	return g
+}
+
+// graph6DiffOrders crosses the one-byte/long header boundary (62/63) and
+// reaches past the server's 256-vertex cap.
+var graph6DiffOrders = []int{0, 1, 2, 62, 63, 64, 256, 300}
+
+// TestFormatGraph6MatchesHasEdgeScan: the edge-list encoder writes the
+// same bytes as the HasEdge scan on random graphs of every density, and
+// on graphs whose edges were inserted in an order other than the
+// format's.
+func TestFormatGraph6MatchesHasEdgeScan(t *testing.T) {
+	for _, n := range graph6DiffOrders {
+		for seed, p := range []float64{0, 0.02, 0.3, 0.9, 1} {
+			g := RandomGNP(n, p, int64(100*n+seed))
+			got, err := FormatGraph6(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := formatGraph6Scan(g); got != want {
+				t.Errorf("n=%d p=%v: FormatGraph6 = %.40q..., HasEdge scan = %.40q...", n, p, got, want)
+			}
+		}
+	}
+	// RandomGNP inserts in row order; a reversed insertion order must not
+	// change the encoding.
+	g := RandomGNP(64, 0.2, 7)
+	rev := New(64)
+	edges := g.Edges()
+	for i := len(edges) - 1; i >= 0; i-- {
+		rev.mustAddEdge(edges[i].V, edges[i].U)
+	}
+	if a, b := mustFormat(t, rev), formatGraph6Scan(g); a != b {
+		t.Errorf("reversed insertion order changed the encoding")
+	}
+}
+
+// TestParseGraph6MatchesAddEdgeScan: the one-walk decoder builds the same
+// graph as one AddEdge per set bit in bit order — the same edge IDs (the
+// column-major order that fixes tuple order and every golden), the same
+// sorted adjacency lists — and a parsed graph still accepts new edges
+// without corrupting its neighbours' lists.
+func TestParseGraph6MatchesAddEdgeScan(t *testing.T) {
+	for _, n := range graph6DiffOrders {
+		for seed, p := range []float64{0, 0.02, 0.3, 0.9, 1} {
+			s := mustFormat(t, RandomGNP(n, p, int64(100*n+seed)))
+			got, err := ParseGraph6(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := parseGraph6Scan(t, s)
+			if !slices.Equal(got.Edges(), want.Edges()) {
+				t.Fatalf("n=%d p=%v: edge order differs from the AddEdge scan", n, p)
+			}
+			for v := 0; v < n; v++ {
+				if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+					t.Fatalf("n=%d p=%v: adjacency of %d = %v, want %v", n, p, v, got.Neighbors(v), want.Neighbors(v))
+				}
+			}
+			for id, e := range want.Edges() {
+				if got.EdgeID(e) != id {
+					t.Fatalf("n=%d p=%v: EdgeID(%v) = %d, want %d", n, p, e, got.EdgeID(e), id)
+				}
+			}
+		}
+	}
+	g, err := ParseGraph6("Bg") // P3 0-1-2, its lists sharing one array
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	for v, want := range [][]int{{1, 2}, {0, 2}, {0, 1}} {
+		if got := g.Neighbors(v); !slices.Equal(got, want) {
+			t.Errorf("after AddEdge, adjacency of %d = %v, want %v", v, got, want)
+		}
+	}
+}
+
+func mustFormat(t *testing.T, g *Graph) string {
+	t.Helper()
+	s, err := FormatGraph6(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkFormatGraph6 encodes a 256-vertex, 400-edge graph: the server
+// cap, at the density of the serve-large inputs.
+func BenchmarkFormatGraph6(b *testing.B) {
+	g := RandomGNP(256, 400/(256*255/2.0), 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := FormatGraph6(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseGraph6 decodes the same 256-vertex graph.
+func BenchmarkParseGraph6(b *testing.B) {
+	s, err := FormatGraph6(RandomGNP(256, 400/(256*255/2.0), 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseGraph6(s); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

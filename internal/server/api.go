@@ -68,8 +68,10 @@ type MixedNE struct {
 }
 
 // SolveResult is the cacheable payload of a completed solve: a pure
-// function of (graph, k, attackers). Handlers treat stored results as
-// immutable — the response cache hands the same pointer to every hit.
+// function of (graph, k, attackers). The response cache stores it once,
+// as its compact JSON encoding, and writes every response that carries
+// it — the miss that solved it, each later hit and a finished job's
+// poll — from those bytes.
 type SolveResult struct {
 	// Graph6 is the canonical encoding of the solved graph (also the
 	// response-cache key, together with K and Attackers).

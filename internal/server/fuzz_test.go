@@ -11,14 +11,24 @@ import (
 )
 
 // FuzzServeSolve drives arbitrary bodies through the full HTTP decode and
-// validation path of POST /v1/solve and asserts the two contract
-// invariants the clients of this API lean on:
+// validation path of POST /v1/solve and asserts the contract invariants
+// the clients of this API lean on:
 //
 //  1. the handler never panics, whatever the body holds — hostile JSON,
 //     hostile graph6, absurd n/k/attackers;
 //  2. every non-200 response carries the structured ErrorBody with a
 //     non-empty machine-readable code and human-readable message (200s
-//     and 202s carry their own documented shapes).
+//     and 202s carry their own documented shapes);
+//  3. a body sent twice is answered the same way twice, although the
+//     second request may be served from the cache, which a graph6 request
+//     consults before parsing: a 200 repeats byte for byte apart from
+//     "cached" and "solve_ms", and an error repeats its status and code.
+//     Outcomes that depend on timing (202, 429, 504) are exempt.
+//
+// The graph6 seeds spell K3 canonically, then with surrounding
+// whitespace, with the ">>graph6<<" header and with nonzero padding bits;
+// the last must stay bad_graph6 although its canonical twin is cached by
+// then.
 //
 // The server is configured small (32-vertex cap, tight sync wait) so the
 // fuzzer spends its budget on the decode path, not on big solves.
@@ -30,6 +40,9 @@ func FuzzServeSolve(f *testing.F) {
 		`{"n":4,"edges":[[0,1],[1,2],[2,3],[0,3]],"k":1}`,
 		`{"n":6,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[0,5]],"k":2,"attackers":4}`,
 		`{"graph6":"Bw","k":1}`,
+		`{"graph6":" \tBw\n","k":1}`,
+		`{"graph6":">>graph6<<Bw","k":1}`,
+		`{"graph6":"Bx","k":1}`,
 		`{"graph6":"IsP@PGXD_","k":3}`,
 		`{"graph6":"~~~~","k":1}`,
 		`{"graph6":"Ao","k":1}`,
@@ -66,14 +79,19 @@ func FuzzServeSolve(f *testing.F) {
 	})
 	h := srv.Handler()
 
-	f.Fuzz(func(t *testing.T, body string) {
+	send := func(body string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req) // a panic here fails the fuzz run
+		return w
+	}
 
+	f.Fuzz(func(t *testing.T, body string) {
+		w := send(body)
 		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("Content-Type %q for body %q", ct, body)
 		}
+		var code string
 		switch w.Code {
 		case http.StatusOK:
 			var resp SolveResponse
@@ -94,6 +112,33 @@ func FuzzServeSolve(f *testing.F) {
 			if eb.Error.Code == "" || eb.Error.Message == "" {
 				t.Fatalf("non-200 response %d missing code/message: %s", w.Code, w.Body.String())
 			}
+			code = eb.Error.Code
+		}
+
+		switch w.Code {
+		case http.StatusAccepted, http.StatusTooManyRequests, http.StatusGatewayTimeout:
+			return
+		}
+		again := send(body)
+		if again.Code != w.Code {
+			t.Fatalf("status %d, then %d for body %q", w.Code, again.Code, body)
+		}
+		if w.Code == http.StatusOK {
+			if a, b := maskVolatile(w.Body.String()), maskVolatile(again.Body.String()); a != b {
+				t.Fatalf("repeated 200 differs for body %q:\nfirst:  %s\nsecond: %s", body, a, b)
+			}
+			return
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(again.Body.Bytes(), &eb); err != nil || eb.Error.Code != code {
+			t.Fatalf("error code %q, then %q (%v) for body %q", code, eb.Error.Code, err, body)
 		}
 	})
+}
+
+// maskVolatile blanks the two fields of a 200 solve body that may differ
+// between answers to one request: solve_ms, and cached.
+func maskVolatile(body string) string {
+	body = solveMSRe.ReplaceAllString(body, `${1}0`)
+	return strings.Replace(body, `"cached": true`, `"cached": false`, 1)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -12,12 +13,24 @@ import (
 // (catalogued in OBSERVABILITY.md).
 var jobsPending = obs.Default().Gauge("server.jobs.pending")
 
+// jobBody is the JobStatus that GET /v1/jobs/{id} writes, with the
+// result left as the stored compact JSON: encoding/json re-indents a
+// RawMessage with the rest of the body, so the bytes equal those of the
+// JobStatus it mirrors without decoding the result.
+type jobBody struct {
+	ID     string          `json:"id"`
+	Status string          `json:"status"`
+	Poll   string          `json:"poll"`
+	Result json.RawMessage `json:"result,omitempty"`
+	Error  *ErrorInfo      `json:"error,omitempty"`
+}
+
 // job is one asynchronous solve handle. Fields are guarded by the owning
 // store's mutex; get returns snapshot copies.
 type job struct {
 	id     string
 	status string
-	result *SolveResult
+	result []byte // compact JSON of the SolveResult, shared with the cache
 	apiErr *apiError
 	doneAt time.Time
 }
@@ -52,7 +65,7 @@ func (s *jobStore) create() string {
 }
 
 // complete records a job's terminal state.
-func (s *jobStore) complete(id string, result *SolveResult, apiErr *apiError) {
+func (s *jobStore) complete(id string, result []byte, apiErr *apiError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]

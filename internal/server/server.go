@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -286,8 +287,9 @@ func solveError(w http.ResponseWriter, e *apiError) {
 	writeError(w, e)
 }
 
-// handleSolve implements POST /v1/solve: decode → cache fast path →
-// broker admission → bounded synchronous wait → 200, or a 202 job
+// handleSolve implements POST /v1/solve: decode → cache fast path (a
+// graph6 request's, before its graph is parsed) → validation → broker
+// admission → bounded synchronous wait → 200, or a 202 job
 // handle whose completion a goroutine records from the broker's
 // per-request channel.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -311,22 +313,30 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	drainBody(r)
+	key := cacheKey{k: req.K, nu: req.Attackers}
+	// A graph6 request is looked up on its own trimmed string before it is
+	// parsed: only a canonical string that passed validation under this
+	// server's cap and the same k can have been stored, so a hit needs no
+	// decode. A miss goes on to the full validation below.
+	byGraph6 := req.Graph6 != "" && req.N == 0 && len(req.Edges) == 0
+	if byGraph6 {
+		key.g6 = graph.TrimGraph6(req.Graph6)
+		if s.answerCached(w, sp, key, start) {
+			return
+		}
+	}
 	g, g6, apiErr := buildGraph(req, s.cfg.MaxVertices)
 	if apiErr != nil {
 		sp.Annotate("outcome", "bad_request")
 		solveError(w, apiErr)
 		return
 	}
-	sp.Annotate("graph6", g6)
-	sp.Annotate("k", strconv.Itoa(req.K))
-
-	key := g6 + "|k=" + strconv.Itoa(req.K) + "|nu=" + strconv.Itoa(req.Attackers)
-	if res, ok := s.cache.Lookup(key); ok {
-		sp.Annotate("outcome", "cache_hit")
-		solveOK.Inc()
-		writeJSON(w, http.StatusOK, SolveResponse{Result: res, Cached: true, SolveMS: msSince(start)})
+	key.g6 = g6
+	if !byGraph6 && s.answerCached(w, sp, key, start) {
 		return
 	}
+	s.cache.Miss()
+	annotateKey(sp, key)
 
 	timeout := s.cfg.SolveTimeout
 	if req.TimeoutMS > 0 {
@@ -341,8 +351,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// detachment, so the queue-wait and solver spans stay correlated.
 	ctx, cancel := context.WithTimeout(obs.DetachTrace(traceCtx), timeout)
 	ch, err := s.broker.Submit(ctx, func(ctx context.Context) (any, error) {
-		return s.cache.Do(ctx, key, func() (*SolveResult, error) {
-			return s.solveFn(ctx, g, g6, req.K, req.Attackers)
+		return s.cache.Do(ctx, key, func() ([]byte, error) {
+			res, err := s.solveFn(ctx, g, g6, req.K, req.Attackers)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(res)
 		})
 	})
 	if err != nil {
@@ -371,7 +385,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				s.jobs.complete(id, nil, solveErr(res.Err))
 				return
 			}
-			s.jobs.complete(id, res.Value.(*SolveResult), nil)
+			s.jobs.complete(id, res.Value.([]byte), nil)
 		}()
 		sp.Annotate("outcome", "accepted")
 		solveAccepted.Inc()
@@ -391,10 +405,27 @@ func (s *Server) respondSolved(w http.ResponseWriter, sp obs.Span, res broker.Re
 	}
 	sp.Annotate("outcome", "ok")
 	solveOK.Inc()
-	writeJSON(w, http.StatusOK, SolveResponse{
-		Result:  res.Value.(*SolveResult),
-		SolveMS: msSince(start),
-	})
+	writeSolved(w, res.Value.([]byte), false, msSince(start))
+}
+
+// answerCached writes the stored answer for key, if there is one, and
+// reports whether it did.
+func (s *Server) answerCached(w http.ResponseWriter, sp obs.Span, key cacheKey, start time.Time) bool {
+	body, ok := s.cache.Lookup(key)
+	if !ok {
+		return false
+	}
+	annotateKey(sp, key)
+	sp.Annotate("outcome", "cache_hit")
+	solveOK.Inc()
+	writeSolved(w, body, true, msSince(start))
+	return true
+}
+
+// annotateKey records the instance a server.solve span answers.
+func annotateKey(sp obs.Span, key cacheKey) {
+	sp.Annotate("graph6", key.g6)
+	sp.Annotate("k", strconv.Itoa(key.k))
 }
 
 // handleJob implements GET /v1/jobs/{id}.
@@ -415,7 +446,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBad(http.StatusNotFound, CodeNotFound, "unknown or expired job %q", id))
 		return
 	}
-	status := JobStatus{ID: j.id, Status: j.status, Poll: "/v1/jobs/" + j.id}
+	status := jobBody{ID: j.id, Status: j.status, Poll: "/v1/jobs/" + j.id}
 	switch j.status {
 	case JobPending:
 		w.Header().Set("Retry-After", "1")

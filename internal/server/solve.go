@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"github.com/defender-game/defender/internal/core"
 	"github.com/defender-game/defender/internal/game"
@@ -67,7 +70,9 @@ func decodeSolveRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (
 
 // buildGraph materializes the request's graph and its canonical graph6
 // key, enforcing the server's size cap and the model's validity rules
-// (no isolated vertices, 1 <= k <= m).
+// (no isolated vertices, 1 <= k <= m). A graph6 request's key is its own
+// trimmed string, which ParseGraph6's strictness makes canonical; an edge
+// list is encoded with FormatGraph6.
 func buildGraph(req *SolveRequest, maxVertices int) (*graph.Graph, string, *apiError) {
 	hasG6 := req.Graph6 != ""
 	hasEdges := req.N != 0 || len(req.Edges) != 0
@@ -112,6 +117,9 @@ func buildGraph(req *SolveRequest, maxVertices int) (*graph.Graph, string, *apiE
 	if req.K < 1 || req.K > g.NumEdges() {
 		return nil, "", errBad(http.StatusUnprocessableEntity, CodeBadK,
 			"k must satisfy 1 <= k <= m=%d, got %d", g.NumEdges(), req.K)
+	}
+	if hasG6 {
+		return g, graph.TrimGraph6(req.Graph6), nil
 	}
 	g6, err := graph.FormatGraph6(g)
 	if err != nil {
@@ -241,6 +249,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.SetIndent("", "  ")
 	// A failed write means the client hung up; nothing to do.
 	_ = enc.Encode(v)
+}
+
+// solvedBufs recycles writeSolved's output buffers.
+var solvedBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffers solvedBufs keeps, so one rare huge
+// body does not stay pinned for every later hit.
+const maxPooledBody = 1 << 20
+
+// writeSolved writes the 200 body of POST /v1/solve, hit or miss, around
+// result, the compact JSON of a SolveResult. The bytes equal those of
+// writeJSON(w, http.StatusOK, SolveResponse{...}) without reflecting over
+// the result again: json.Indent nests the stored bytes one level deep
+// between a fixed prefix and the "cached"/"solve_ms" suffix, and solveMS
+// is formatted by json.Marshal as the encoder would.
+func writeSolved(w http.ResponseWriter, result []byte, cached bool, solveMS float64) {
+	buf := solvedBufs.Get().(*bytes.Buffer)
+	buf.WriteString("{\n  \"result\": ")
+	// Neither encoding call can fail: result came from json.Marshal, and
+	// a latency is a finite float.
+	_ = json.Indent(buf, result, "  ", "  ")
+	buf.WriteString(",\n  \"cached\": ")
+	buf.WriteString(strconv.FormatBool(cached))
+	buf.WriteString(",\n  \"solve_ms\": ")
+	ms, _ := json.Marshal(solveMS)
+	buf.Write(ms)
+	buf.WriteString("\n}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client hung up; nothing to do.
+	_, _ = w.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		solvedBufs.Put(buf)
+	}
 }
 
 // drainBody discards any unread request body so keep-alive connections
