@@ -1,5 +1,6 @@
 # Development targets. CI (.github/workflows/ci.yml) runs the same gate:
-# build, vet, defenderlint, race tests, and a fuzz smoke of both parsers.
+# build, vet, defenderlint, race tests, and a fuzz smoke of every native
+# fuzz target (nine of them, see fuzz-smoke).
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -9,7 +10,7 @@ FUZZTIME ?= 30s
 # from here.
 SMOKEDIR ?= _smoke
 
-.PHONY: all build test fmtcheck lint vet race bench bench-kernel bench-scaling benchdiff fuzz-smoke linkcheck loadtest trace-smoke check
+.PHONY: all build test fmtcheck lint vet race bench bench-kernel benchdiff fuzz-smoke linkcheck trace-smoke check
 
 # DOCS is the documentation set linkcheck keeps honest (relative links and
 # heading anchors; see cmd/linkcheck).
@@ -64,16 +65,6 @@ bench-kernel:
 	$(GO) test -run='^$$' -bench=. -count=$(BENCH_REPEAT) $(KERNEL_PKGS) | \
 		$(GO) run ./cmd/benchkernel -out BENCH_kernel.json -history bench/history
 
-# bench-scaling drives the sparse-core pipeline across the 10^3..10^6
-# Barabási–Albert ladder (generate, ρ(G), k-matching NE solve, Theorem 3.4
-# verify per decade) and records the curve as a schema-v2 bench record in
-# bench/history. SCALING.md explains how to read it; CI's scaling-smoke
-# job runs the same ladder capped at 10^4 vertices.
-SCALING_MAX_N ?= 1000000
-bench-scaling:
-	$(GO) run ./cmd/benchkernel -scaling -scaling-max-n $(SCALING_MAX_N) \
-		-scaling-repeat $(BENCH_REPEAT) -out BENCH_scaling.json -history bench/history
-
 # benchdiff gates the two most recent bench/history records against each
 # other (see OBSERVABILITY.md "Tracking performance over time").
 benchdiff:
@@ -94,55 +85,26 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSimplexVsDense$$' -fuzztime=$(FUZZTIME) ./internal/lp
 	$(GO) test -run='^$$' -fuzz='^FuzzServeSolve$$' -fuzztime=$(FUZZTIME) ./internal/server
 
-# loadtest boots defenderd on a private port, waits for /healthz, and
-# drives LOADTEST_DURATION of cached solve traffic through cmd/loadgen:
-# the steady-state broker + cache + encode path, not the solver. The
-# latency record (p50/p95/p99) is written to BENCH_loadgen.json and
-# appended to bench/history; the run fails below LOADTEST_MIN_RPS req/s.
-# The daemon solves on the dense stack, which never reads the par thread
-# budget, so it takes no solver-thread setting. Run it twice and
-# `make benchdiff` gates the serve-vs-serve pair (CI's serve-smoke job
-# does exactly that).
-LOADTEST_ADDR ?= 127.0.0.1:18211
-LOADTEST_DURATION ?= 10s
-LOADTEST_MIN_RPS ?= 2000
-LOADTEST_CONCURRENCY ?= 32
-LOADTEST_HISTORY ?= bench/history
-loadtest:
-	@mkdir -p bin
-	$(GO) build -o bin/defenderd ./cmd/defenderd
-	$(GO) build -o bin/loadgen ./cmd/loadgen
-	@set -e; \
-	./bin/defenderd -addr $(LOADTEST_ADDR) & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT INT TERM; \
-	ok=0; \
-	for i in $$(seq 1 100); do \
-		if curl -fsS -o /dev/null http://$(LOADTEST_ADDR)/healthz 2>/dev/null; then ok=1; break; fi; \
-		sleep 0.1; \
-	done; \
-	[ $$ok -eq 1 ] || { echo "loadtest: defenderd never became healthy on $(LOADTEST_ADDR)"; exit 1; }; \
-	./bin/loadgen -addr http://$(LOADTEST_ADDR) -duration $(LOADTEST_DURATION) \
-		-concurrency $(LOADTEST_CONCURRENCY) -min-rps $(LOADTEST_MIN_RPS) \
-		-bench-out BENCH_loadgen.json -bench-history $(LOADTEST_HISTORY)
-
 # trace-smoke proves the tracing pipeline end-to-end (TRACING.md): boot
 # defenderd with full sampling, a trace sink and a request log, drive it
-# with loadgen, drain gracefully, then assert the capture — every trace
-# connected with a server.solve root (tracetool -check), the broker's
-# queue-wait span present, the tail traceable (-p99), and the
-# OpenMetrics exposition carrying trace_id exemplars while the 0.0.4
-# exposition stays exemplar-free (its grammar forbids them). Leaves
-# trace_smoke.jsonl, requests_smoke.jsonl, metrics_smoke.prom (0.0.4),
-# metrics_smoke.om (OpenMetrics) and BENCH_tracegen.json behind under
+# with 5000 solves of one cached instance (C12, k=2) from a single
+# `curl --parallel` run (32 in flight; %header{} needs curl >= 7.84),
+# drain gracefully, then assert: every response 200 at >= 2000 req/s, the
+# slowest request's X-Defender-Trace-Id found in the capture and rendered
+# by tracetool -trace, every trace connected with a server.solve root
+# (tracetool -check), the broker's queue-wait span present, the tail
+# traceable (-p99), and the OpenMetrics exposition carrying trace_id
+# exemplars while the 0.0.4 exposition stays exemplar-free (its grammar
+# forbids them). Leaves trace_smoke.jsonl, requests_smoke.jsonl,
+# curl_smoke.txt (code, seconds, trace ID per request), metrics_smoke.prom
+# (0.0.4), metrics_smoke.om (OpenMetrics) and slo_smoke.json behind under
 # $(SMOKEDIR)/ for inspection; CI's trace-smoke job adds jq assertions
 # on top.
 TRACESMOKE_ADDR ?= 127.0.0.1:18212
 TRACESMOKE_DEBUG_ADDR ?= 127.0.0.1:18213
-TRACESMOKE_DURATION ?= 5s
 trace-smoke:
 	@mkdir -p bin $(SMOKEDIR)
 	$(GO) build -o bin/defenderd ./cmd/defenderd
-	$(GO) build -o bin/loadgen ./cmd/loadgen
 	$(GO) build -o bin/tracetool ./cmd/tracetool
 	@set -e; \
 	./bin/defenderd -addr $(TRACESMOKE_ADDR) -debug-addr $(TRACESMOKE_DEBUG_ADDR) \
@@ -156,15 +118,27 @@ trace-smoke:
 	done; \
 	[ $$ok -eq 1 ] || { echo "trace-smoke: defenderd never became healthy on $(TRACESMOKE_ADDR)"; exit 1; }; \
 	curl -fsS http://$(TRACESMOKE_ADDR)/readyz > $(SMOKEDIR)/readyz_smoke.json; \
-	./bin/loadgen -addr http://$(TRACESMOKE_ADDR) -duration $(TRACESMOKE_DURATION) \
-		-concurrency $(LOADTEST_CONCURRENCY) -min-rps $(LOADTEST_MIN_RPS) \
-		-bench-out $(SMOKEDIR)/BENCH_tracegen.json; \
+	printf '%s' '{"n":12,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,8],[8,9],[9,10],[10,11],[11,0]],"k":2,"attackers":1}' \
+		> $(SMOKEDIR)/solve_body.json; \
+	t0=$$(date +%s.%N); \
+	curl --no-progress-meter -Z --parallel-max 32 -H 'Content-Type: application/json' -d @$(SMOKEDIR)/solve_body.json \
+		-o /dev/null -w '%{http_code} %{time_total} %header{x-defender-trace-id}\n' \
+		"http://$(TRACESMOKE_ADDR)/v1/solve?r=[1-5000]" > $(SMOKEDIR)/curl_smoke.txt; \
+	t1=$$(date +%s.%N); \
+	awk -v t0=$$t0 -v t1=$$t1 '$$1 == 200 { ok++ } END { \
+		rps = NR / (t1 - t0); printf "trace-smoke: %d requests, %d answered 200, %.0f req/s\n", NR, ok, rps; \
+		exit !(NR == 5000 && ok == NR && rps >= 2000) }' $(SMOKEDIR)/curl_smoke.txt \
+		|| { echo "trace-smoke: want 5000 requests, all 200, at >= 2000 req/s"; exit 1; }; \
 	curl -fsS "http://$(TRACESMOKE_DEBUG_ADDR)/metrics?format=prometheus" > $(SMOKEDIR)/metrics_smoke.prom; \
 	curl -fsS "http://$(TRACESMOKE_DEBUG_ADDR)/metrics?format=openmetrics" > $(SMOKEDIR)/metrics_smoke.om; \
 	curl -fsS http://$(TRACESMOKE_DEBUG_ADDR)/slo > $(SMOKEDIR)/slo_smoke.json; \
 	kill -TERM $$pid; wait $$pid 2>/dev/null || true; \
 	trap - EXIT INT TERM; \
 	./bin/tracetool -check -require server.solve $(SMOKEDIR)/trace_smoke.jsonl; \
+	tid=$$(sort -k2,2 -g -r $(SMOKEDIR)/curl_smoke.txt | awk 'NR == 1 { print $$3 }'); \
+	echo "$$tid" | grep -Eq '^[0-9a-f]{32}$$' && grep -q "\"$$tid\"" $(SMOKEDIR)/trace_smoke.jsonl \
+		|| { echo "trace-smoke: slowest request's trace '$$tid' not in the capture"; exit 1; }; \
+	./bin/tracetool -trace "$$tid" $(SMOKEDIR)/trace_smoke.jsonl; \
 	./bin/tracetool $(SMOKEDIR)/trace_smoke.jsonl | grep -q 'broker\.queue_wait' \
 		|| { echo "trace-smoke: no broker.queue_wait span captured"; exit 1; }; \
 	./bin/tracetool -p99 server.solve.seconds $(SMOKEDIR)/trace_smoke.jsonl; \

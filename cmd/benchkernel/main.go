@@ -16,11 +16,6 @@
 // cells/sec gates both apply. Samples carries the repetition count, which
 // lets benchdiff's -min-samples guard reject one-shot noise.
 //
-// With -scaling the command instead drives the sparse-core pipeline
-// itself across the 10^3 → 10^6-vertex ladder (generate, solve, verify a
-// k-matching NE per decade) and emits the curve as one table per size;
-// see scaling.go and SCALING.md.
-//
 // Exit codes: 0 ok, 1 no benchmark lines found, 2 usage or write error.
 package main
 
@@ -50,15 +45,6 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var (
 		out     = fs.String("out", "", "write the bench record to this file")
 		history = fs.String("history", "", "also append the record to this history directory (see bench/history)")
-
-		scaling        = fs.Bool("scaling", false, "run the sparse-core scaling ladder instead of parsing bench output (see SCALING.md)")
-		scalingMaxN    = fs.Int("scaling-max-n", 1_000_000, "largest ladder size; decades 10^3..maxN run")
-		scalingAttach  = fs.Int("scaling-attach", 3, "preferential-attachment edges per new vertex")
-		scalingK       = fs.Int("scaling-k", 4, "defender tuple size k")
-		scalingNu      = fs.Int("scaling-nu", 10, "number of attackers ν")
-		scalingSeed    = fs.Int64("scaling-seed", 1, "generator seed (each repetition re-solves the same instance)")
-		scalingRepeat  = fs.Int("scaling-repeat", 1, "timing repetitions per size; WallMS keeps the minimum")
-		scalingThreads = fs.String("threads", "1", "comma-separated solver thread ladder for -scaling, e.g. 1,2,4; 0 means GOMAXPROCS")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -67,23 +53,6 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchkernel: reads benchmark output on stdin; no positional arguments")
 		return 2
 	}
-	if *scaling {
-		threads, err := parseThreadsLadder(*scalingThreads)
-		if err != nil {
-			fmt.Fprintln(stderr, "benchkernel:", err)
-			return 2
-		}
-		return runScaling(scalingConfig{
-			maxN:    *scalingMaxN,
-			attach:  *scalingAttach,
-			k:       *scalingK,
-			nu:      *scalingNu,
-			seed:    *scalingSeed,
-			repeat:  *scalingRepeat,
-			threads: threads,
-		}, *out, *history, stdout, stderr)
-	}
-
 	report, lines, err := parseBench(stdin)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchkernel:", err)
@@ -111,31 +80,6 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "%d kernel benchmark(s), %d sample(s) max\n", len(report.Tables), report.BenchRepeat)
 	return 0
-}
-
-// parseThreadsLadder parses the -threads flag: a comma-separated list of
-// solver thread budgets, each a non-negative integer (0 = GOMAXPROCS,
-// resolved by internal/par at run time).
-func parseThreadsLadder(s string) ([]int, error) {
-	var ladder []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		t, err := strconv.Atoi(f)
-		if err != nil || t < 0 {
-			return nil, fmt.Errorf("-threads %q: rung %q is not a non-negative integer", s, f)
-		}
-		if t == 0 {
-			t = runtime.GOMAXPROCS(0)
-		}
-		ladder = append(ladder, t)
-	}
-	if len(ladder) == 0 {
-		return nil, fmt.Errorf("-threads %q leaves no rungs to run", s)
-	}
-	return ladder, nil
 }
 
 // benchLine matches one `go test -bench` result line:

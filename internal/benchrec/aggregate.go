@@ -50,15 +50,6 @@ func Aggregate(samples []Table) Table {
 	agg.CellP95MS = median(p95s)
 	agg.CellP99MS = median(p99s)
 	agg.CellMaxMS = median(maxes)
-	// The slowest-request trace follows the pass with the worst max
-	// latency — the run an investigator would want the waterfall for.
-	worst := samples[0]
-	for _, s := range samples[1:] {
-		if s.CellMaxMS > worst.CellMaxMS {
-			worst = s
-		}
-	}
-	agg.SlowestTraceID = worst.SlowestTraceID
 	return agg
 }
 

@@ -91,9 +91,10 @@ type Table struct {
 	// Samples is how many timing passes this entry aggregates.
 	Samples int `json:"samples"`
 	// Threads is the solver thread budget the table ran with (0 = the
-	// suite's single-threaded default). Tables from one -threads ladder
-	// share a record; benchdiff compares like against like because rungs
-	// above 1 carry a /threads=N ID suffix.
+	// suite's single-threaded default). Only the committed csr-scaling
+	// records in bench/history carry it: their thread-ladder rungs
+	// above 1 have a /threads=N ID suffix, so benchdiff compares like
+	// against like.
 	Threads int `json:"threads,omitempty"`
 	// WallMS is the table's wall time: the minimum across samples (the
 	// least-interfered-with run; see Aggregate).
@@ -106,11 +107,6 @@ type Table struct {
 	CellP95MS float64 `json:"cell_p95_ms"`
 	CellP99MS float64 `json:"cell_p99_ms"`
 	CellMaxMS float64 `json:"cell_max_ms"`
-	// SlowestTraceID is the trace id (X-Defender-Trace-Id) of the request
-	// behind CellMaxMS, recorded by suites that drive a traced service
-	// (cmd/loadgen): the record's worst latency links straight to its
-	// tracetool waterfall. Empty for suites without request traces.
-	SlowestTraceID string `json:"slowest_trace_id,omitempty"`
 }
 
 // StampEnvironment fills the report's provenance fields: SchemaVersion,

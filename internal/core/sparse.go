@@ -18,7 +18,8 @@ import (
 
 // Sparse verification counter (catalogued in OBSERVABILITY.md): one
 // increment per completed VerifyKMatchingCSR run — the Theorem 3.4 audit
-// every scaling record performs on its 10^6-vertex equilibria.
+// every sparse-1m benchmark iteration performs on its 10^6-vertex
+// equilibrium.
 var obsCSRVerifications = obs.Default().Counter("core.csr.verifications")
 
 // verifyParallelGrain is the index-range size below which a verifier
@@ -56,12 +57,6 @@ type SparseEquilibrium struct {
 // result.
 func (ne *SparseEquilibrium) DefenderGain() *big.Rat {
 	return big.NewRat(int64(ne.K)*int64(ne.Attackers), int64(len(ne.VPSupport)))
-}
-
-// HitProbability returns P(Hit(v)) = k / |E(D(tp))| for v in the attacker
-// support (Claim 4.3). O(1); allocates the result.
-func (ne *SparseEquilibrium) HitProbability() *big.Rat {
-	return big.NewRat(int64(ne.K), int64(len(ne.EdgeU)))
 }
 
 // algorithmACSR runs step 1–2 of Algorithm A_tuple on the sparse path:
@@ -532,19 +527,4 @@ func VerifyKMatchingCSR(ne *SparseEquilibrium) error {
 	}
 	obsCSRVerifications.Inc()
 	return nil
-}
-
-// SolveKMatchingCSRVerified is the scaling pipeline's entry point: solve
-// and then immediately audit the result with VerifyKMatchingCSR, so every
-// benchmark row carries a Theorem 3.4 proof, not just a construction.
-// Cost is one solve plus one O(n + m + k·δ) verification.
-func SolveKMatchingCSRVerified(c *graph.CSR, attackers, k int) (*SparseEquilibrium, error) {
-	ne, err := SolveKMatchingCSR(c, attackers, k)
-	if err != nil {
-		return nil, err
-	}
-	if err := VerifyKMatchingCSR(ne); err != nil {
-		return nil, fmt.Errorf("core: sparse solve failed its own audit: %w", err)
-	}
-	return ne, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"testing"
 
 	"github.com/defender-game/defender/internal/cover"
@@ -126,13 +127,16 @@ func TestVerifyKMatchingCSRMutations(t *testing.T) {
 	}
 }
 
-// TestSolveKMatchingCSRMediumScale runs the verified pipeline at a size
-// where the dense path is already impractical, as a fast regression guard
-// for the scaling benchmark.
+// TestSolveKMatchingCSRMediumScale solves and verifies at a size where
+// the dense path is already impractical, as a fast regression guard for
+// the sparse-1m benchmark.
 func TestSolveKMatchingCSRMediumScale(t *testing.T) {
 	c := graph.NewSeededGenerator(43).BarabasiAlbertBipartiteCSR(50_000, 3)
-	ne, err := SolveKMatchingCSRVerified(c, 10, 8)
+	ne, err := SolveKMatchingCSR(c, 10, 8)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyKMatchingCSR(ne); err != nil {
 		t.Fatal(err)
 	}
 	if len(ne.VPSupport) != len(ne.EdgeU) {
@@ -148,8 +152,8 @@ func TestSolveKMatchingCSRMediumScale(t *testing.T) {
 }
 
 // TestSolveKMatchingCSRAfterRho pins the one-matching solve: once ρ(G)'s
-// matching is in hand (matching.MaximumBipartiteCSR, as every scaling
-// pass computes it first), the solve on the same CSR colors nothing and
+// matching is in hand (matching.MaximumBipartiteCSR, as the sparse-1m
+// benchmark computes it first), the solve on the same CSR colors nothing and
 // runs no Hopcroft–Karp phase, and its attacker support still has
 // n − ν(G) = ρ(G) vertices.
 func TestSolveKMatchingCSRAfterRho(t *testing.T) {
@@ -168,8 +172,11 @@ func TestSolveKMatchingCSRAfterRho(t *testing.T) {
 		t.Fatal("ρ(G)'s matching ran no phase, so the phase count proves nothing")
 	}
 	colored, ran := colorings.Value(), phases.Value()
-	ne, err := SolveKMatchingCSRVerified(c, 10, 4)
+	ne, err := SolveKMatchingCSR(c, 10, 4)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyKMatchingCSR(ne); err != nil {
 		t.Fatal(err)
 	}
 	if d := colorings.Value() - colored; d != 0 {
@@ -181,6 +188,78 @@ func TestSolveKMatchingCSRAfterRho(t *testing.T) {
 	if rho := c.NumVertices() - matching.SizeCSR(mate); len(ne.VPSupport) != rho {
 		t.Errorf("|IS| = %d, want ρ(G) = %d", len(ne.VPSupport), rho)
 	}
+}
+
+// TestSparsePipelineCounters pins the sparse-core metrics catalogued in
+// OBSERVABILITY.md to one ingest → verified equilibrium pass, the
+// sequence the sparse-1m benchmark runs: BuildCSR, ρ(G)'s matching and
+// edge cover, the k-matching solve, the Theorem 3.4 audit. Each stage
+// moves its own counter by exactly one, and the matching is the only
+// stage that colors the graph or runs a Hopcroft–Karp phase.
+func TestSparsePipelineCounters(t *testing.T) {
+	reg := obs.Default()
+	defer reg.SetEnabled(reg.Enabled())
+	reg.SetEnabled(true)
+	counters := []string{
+		"graph.csr.builds",
+		"graph.csr.bipartitions",
+		"matching.csr.hopcroftkarp.phases",
+		"cover.csr.edge_covers_built",
+		"core.csr.verifications",
+	}
+	const solves = "core.solve_sparse.seconds"
+	var last obs.Snapshot
+	// step checks each metric's change since the previous step against
+	// want: a name absent from want must not move, and -1 means "at
+	// least one".
+	step := func(name string, want map[string]int) {
+		t.Helper()
+		now := reg.Snapshot()
+		for _, c := range counters {
+			d, w := int(now.Counters[c]-last.Counters[c]), want[c]
+			if (w < 0 && d < 1) || (w >= 0 && d != w) {
+				t.Errorf("%s: %s moved by %d, want %d", name, c, d, w)
+			}
+		}
+		if d, w := int(now.Histograms[solves].Count-last.Histograms[solves].Count), want[solves]; d != w {
+			t.Errorf("%s: %s count moved by %d, want %d", name, solves, d, w)
+		}
+		last = now
+	}
+
+	src := graph.NewSeededGenerator(7).BarabasiAlbertBipartiteCSR(10_000, 3)
+	var us, vs []int32
+	src.EachEdge(func(u, v int32) { us, vs = append(us, u), append(vs, v) })
+	last = reg.Snapshot()
+	c, err := graph.BuildCSR(src.NumVertices(), us, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("BuildCSR", map[string]int{"graph.csr.builds": 1})
+	mate, _, err := matching.MaximumBipartiteCSR(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("MaximumBipartiteCSR", map[string]int{"graph.csr.bipartitions": 1, "matching.csr.hopcroftkarp.phases": -1})
+	if _, _, err := cover.MinimumEdgeCoverCSRFromMatching(c, mate); err != nil {
+		t.Fatal(err)
+	}
+	step("MinimumEdgeCoverCSRFromMatching", map[string]int{"cover.csr.edge_covers_built": 1})
+	ne, err := SolveKMatchingCSR(c, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("SolveKMatchingCSR", map[string]int{solves: 1})
+	if err := VerifyKMatchingCSR(ne); err != nil {
+		t.Fatal(err)
+	}
+	step("VerifyKMatchingCSR", map[string]int{"core.csr.verifications": 1})
+}
+
+// HitProbability returns P(Hit(v)) = k / |E(D(tp))| for v in the attacker
+// support (Claim 4.3). O(1); allocates the result.
+func (ne *SparseEquilibrium) HitProbability() *big.Rat {
+	return big.NewRat(int64(ne.K), int64(len(ne.EdgeU)))
 }
 
 // Multiplicity returns how many support tuples each support edge belongs

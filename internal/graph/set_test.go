@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -53,26 +52,6 @@ func TestSetComplement(t *testing.T) {
 	}
 }
 
-func TestSetOperations(t *testing.T) {
-	a := []int{1, 2, 4}
-	b := []int{2, 3, 4, 6}
-	if got := SetUnion(a, b); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 6}) {
-		t.Errorf("union = %v", got)
-	}
-	if got := SetIntersection(a, b); !reflect.DeepEqual(got, []int{2, 4}) {
-		t.Errorf("intersection = %v", got)
-	}
-	if got := SetDifference(a, b); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("difference = %v", got)
-	}
-	if got := SetDifference(b, a); !reflect.DeepEqual(got, []int{3, 6}) {
-		t.Errorf("difference = %v", got)
-	}
-	if got := SetIntersection(a, nil); got != nil {
-		t.Errorf("intersection with empty = %v", got)
-	}
-}
-
 func TestSetsEqual(t *testing.T) {
 	if !SetsEqual([]int{1, 2}, []int{1, 2}) {
 		t.Error("equal sets")
@@ -101,50 +80,6 @@ func TestIsPartition(t *testing.T) {
 	}
 }
 
-// Property: union/intersection/difference respect the map-based model.
-func TestPropertySetAlgebra(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mk := func() []int {
-			var s []int
-			for i := 0; i < 10; i++ {
-				if rng.Intn(2) == 0 {
-					s = append(s, i)
-				}
-			}
-			return s
-		}
-		a, b := mk(), mk()
-		inA := make(map[int]bool)
-		inB := make(map[int]bool)
-		for _, v := range a {
-			inA[v] = true
-		}
-		for _, v := range b {
-			inB[v] = true
-		}
-		var wantU, wantI, wantD []int
-		for v := 0; v < 10; v++ {
-			if inA[v] || inB[v] {
-				wantU = append(wantU, v)
-			}
-			if inA[v] && inB[v] {
-				wantI = append(wantI, v)
-			}
-			if inA[v] && !inB[v] {
-				wantD = append(wantD, v)
-			}
-		}
-		sort.Ints(wantU)
-		return reflect.DeepEqual(SetUnion(a, b), wantU) &&
-			reflect.DeepEqual(SetIntersection(a, b), wantI) &&
-			reflect.DeepEqual(SetDifference(a, b), wantD)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: complement of complement is the identity on normalized sets.
 func TestPropertyComplementInvolution(t *testing.T) {
 	f := func(seed int64) bool {
@@ -165,68 +100,4 @@ func TestPropertyComplementInvolution(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-// SetUnion returns the sorted union of two sorted sets.
-// O(|a| + |b|); allocates the result.
-func SetUnion(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// SetIntersection returns the sorted intersection of two sorted sets.
-// O(|a| + |b|); allocates the result.
-func SetIntersection(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// SetDifference returns the sorted elements of a not present in b.
-// O(|a| + |b|); allocates the result.
-func SetDifference(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) {
-		switch {
-		case j >= len(b) || a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return out
 }

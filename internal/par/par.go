@@ -17,10 +17,9 @@
 //     byte-identical to the pre-parallel serial code by construction.
 //
 // The budget is a goroutine count, not a core count: it is deliberately
-// not clamped to GOMAXPROCS so scaling ladders can record honest
-// oversubscribed rungs (workers_effective = requested, gomaxprocs = what
-// the box had). Only the benchmark harnesses (cmd/benchkernel,
-// perfbench) set it; defenderd's dense solve path never reads it.
+// not clamped to GOMAXPROCS, so a benchmark can oversubscribe the box on
+// purpose. Only the benchmark harness (perfbench) sets it; defenderd's
+// dense solve path never reads it.
 package par
 
 import (

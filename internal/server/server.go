@@ -458,8 +458,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, status)
 }
 
-// handleHealthz is the liveness probe cmd/defenderd's boot (and the
-// loadtest harness) waits on.
+// handleHealthz is the liveness probe cmd/defenderd's boot (and
+// `make trace-smoke`) waits on.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
