@@ -21,7 +21,8 @@ import (
 //     and 202s carry their own documented shapes);
 //  3. a body sent twice is answered the same way twice, although the
 //     second request may be served from the cache, which a graph6 request
-//     consults before parsing: a 200 repeats byte for byte apart from
+//     consults before parsing, or solved again because an eviction fell
+//     between the two sends: a 200 repeats byte for byte apart from
 //     "cached" and "solve_ms", and an error repeats its status and code.
 //     Outcomes that depend on timing (202, 429, 504) are exempt.
 //
@@ -31,7 +32,8 @@ import (
 // then.
 //
 // The server is configured small (32-vertex cap, tight sync wait) so the
-// fuzzer spends its budget on the decode path, not on big solves.
+// fuzzer spends its budget on the decode path, not on big solves, and its
+// cache holds only a few answers, so evictions happen between sends.
 func FuzzServeSolve(f *testing.F) {
 	seeds := []string{
 		``,
@@ -72,6 +74,7 @@ func FuzzServeSolve(f *testing.F) {
 		SolveTimeout: 2 * time.Second,
 		MaxVertices:  32,
 	})
+	srv.cache = newSolveCache(4 << 10)
 	f.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -147,7 +147,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		broker:  broker.New(cfg.Workers, cfg.QueueCap),
-		cache:   newSolveCache(),
+		cache:   newSolveCache(cacheBudget),
 		jobs:    newJobStore(cfg.JobTTL),
 		slo:     obs.NewSLOMonitor(cfg.SLO),
 		solveFn: solve,

@@ -498,25 +498,74 @@ func pathEdges(n int) string {
 }
 
 // TestCacheConservationUnderRace is the PR 3 conservation suite lifted to
-// the service: many concurrent clients requesting one graph must observe
-// hits + misses == requests, 1 <= stores <= misses, and the broker's
-// submitted == completed + failed + cancelled — while -race watches the
-// whole path. Half the clients spell the graph as an edge list and half
-// as graph6, which is looked up before it is parsed. It also proves
-// coalescing: the solve runs far fewer times than there are requests.
+// the service: many concurrent clients must observe hits + misses ==
+// requests, stores <= misses, and the broker's submitted == completed +
+// failed + cancelled — while -race watches the whole path. Half the
+// clients spell each graph as an edge list and half as graph6, which is
+// looked up before it is parsed. With one graph and the production
+// budget it also proves coalescing: the solve runs exactly once. With
+// several graphs and a budget of about two answers, entries are evicted
+// and solved again while others are hit, and the cache still accounts
+// for itself: entries = stores - evictions, and server.cache.bytes is the
+// size of what it retains, within the budget.
 func TestCacheConservationUnderRace(t *testing.T) {
+	t.Run("one_key", func(t *testing.T) {
+		d, _, solves := raceCycleSolves(t, cacheBudget, []int{6})
+		if d["server.cache.stores"] < 1 {
+			t.Errorf("nothing was stored")
+		}
+		if solves != 1 {
+			t.Errorf("solve ran %d times for one key; coalescing should make it exactly 1", solves)
+		}
+	})
+	t.Run("small_budget", func(t *testing.T) {
+		const budget = 2 << 10
+		d, s, _ := raceCycleSolves(t, budget, []int{5, 6, 7, 8, 9, 10})
+		keys, size := s.cache.retained()
+		if held := d["server.cache.stores"] - d["server.cache.evictions"]; held != uint64(len(keys)) {
+			t.Errorf("stores(%d) - evictions(%d) = %d, but %d entries are held",
+				d["server.cache.stores"], d["server.cache.evictions"], held, len(keys))
+		}
+		if d["server.cache.evictions"] == 0 {
+			t.Errorf("nothing was evicted under a %d-byte budget", budget)
+		}
+		g := obs.Default().Snapshot().Gauges
+		if g["server.cache.entries"] != float64(len(keys)) {
+			t.Errorf("server.cache.entries = %v, %d entries held", g["server.cache.entries"], len(keys))
+		}
+		if g["server.cache.bytes"] != float64(size) || size > budget {
+			t.Errorf("server.cache.bytes = %v, retained %d bytes, budget %d", g["server.cache.bytes"], size, budget)
+		}
+	})
+}
+
+// raceCycleSolves has concurrent clients request the cycles C_n, n in ns,
+// at k=2 round-robin, from a server whose cache holds budget bytes. Even
+// clients spell the graph as an edge list, odd ones as graph6. It drains
+// the server, checks the request, cache and broker conservation laws,
+// and returns the counter deltas, the drained server and the number of
+// solves run.
+func raceCycleSolves(t *testing.T, budget int, ns []int) (map[string]uint64, *Server, int) {
+	t.Helper()
 	const clients = 12
 	const perClient = 15
 	names := []string{
 		"server.solve.requests", "server.solve.ok", "server.solve.accepted",
 		"server.solve.rejected", "server.solve.errors",
-		"server.cache.hits", "server.cache.misses", "server.cache.stores",
+		"server.cache.hits", "server.cache.misses", "server.cache.stores", "server.cache.evictions",
 		"broker.submitted", "broker.completed", "broker.failed", "broker.cancelled",
 	}
-	var solves int32
+	var bodies [2][]string
+	for _, n := range ns {
+		bodies[0] = append(bodies[0], cycleBody(n, 2, ""))
+		bodies[1] = append(bodies[1], graph6Body(t, graph.Cycle(n), 2))
+	}
+	var s *Server
+	var solves int
 	var solvesMu sync.Mutex
 	d := counterDelta(names, func() {
-		s := newTestServer(t, func(c *Config) { c.QueueCap = clients * perClient })
+		s = newTestServer(t, func(c *Config) { c.QueueCap = clients * perClient })
+		s.cache = newSolveCache(budget)
 		inner := s.solveFn
 		s.solveFn = func(ctx context.Context, g *graph.Graph, g6 string, k, attackers int) (*SolveResult, error) {
 			solvesMu.Lock()
@@ -524,20 +573,19 @@ func TestCacheConservationUnderRace(t *testing.T) {
 			solvesMu.Unlock()
 			return inner(ctx, g, g6, k, attackers)
 		}
-		bodies := [2]string{cycleBody(6, 2, ""), graph6Body(t, graph.Cycle(6), 2)}
 		var wg sync.WaitGroup
 		for c := 0; c < clients; c++ {
 			wg.Add(1)
-			go func(body string) {
+			go func(c int) {
 				defer wg.Done()
 				for i := 0; i < perClient; i++ {
-					w := do(s, http.MethodPost, "/v1/solve", body)
+					w := do(s, http.MethodPost, "/v1/solve", bodies[c%2][(c+i)%len(ns)])
 					if w.Code != http.StatusOK {
 						t.Errorf("status %d: %s", w.Code, w.Body.String())
 						return
 					}
 				}
-			}(bodies[c%2])
+			}(c)
 		}
 		wg.Wait()
 		// Drain the broker before reading its counters.
@@ -557,15 +605,13 @@ func TestCacheConservationUnderRace(t *testing.T) {
 	if d["server.cache.hits"]+d["server.cache.misses"] != total {
 		t.Errorf("hits(%d)+misses(%d) != lookups(%d)", d["server.cache.hits"], d["server.cache.misses"], total)
 	}
-	if st := d["server.cache.stores"]; st < 1 || st > d["server.cache.misses"] {
-		t.Errorf("stores = %d, want 1 <= stores <= misses (%d)", st, d["server.cache.misses"])
+	if st := d["server.cache.stores"]; st > d["server.cache.misses"] {
+		t.Errorf("stores = %d, want stores <= misses (%d)", st, d["server.cache.misses"])
 	}
 	if d["broker.submitted"] != d["broker.completed"]+d["broker.failed"]+d["broker.cancelled"] {
 		t.Errorf("broker conservation violated: %v", d)
 	}
-	if int(solves) != 1 {
-		t.Errorf("solve ran %d times for one key; coalescing should make it exactly 1", solves)
-	}
+	return d, s, solves
 }
 
 // TestServerCloseLeaksNothing: a busy server shuts down without leaking
@@ -801,8 +847,11 @@ func TestOversizedGraph6RefusedFromHeader(t *testing.T) {
 // TestCachedResponseMatchesFreshSolve (ROADMAP item 6, cache correctness):
 // the body a warm server returns from its cache is byte-identical to a
 // fresh server's cache-miss body, except for the cached flag and the
-// volatile solve_ms. The inputs are one cache miss per equilibrium family
-// plus the greedy-miss graph only the exact Cor 4.11 route solves.
+// volatile solve_ms. So is the body of a server whose cache holds one
+// entry, re-sent the request after another answer evicted its own: an
+// eviction is visible only as "cached": false. The inputs are one cache
+// miss per equilibrium family plus the greedy-miss graph only the exact
+// Cor 4.11 route solves.
 func TestCachedResponseMatchesFreshSolve(t *testing.T) {
 	g6, err := os.ReadFile("../cover/testdata/greedy_miss.g6")
 	if err != nil {
@@ -836,6 +885,19 @@ func TestCachedResponseMatchesFreshSolve(t *testing.T) {
 			}
 			if res := decodeSolve(t, w).Result; res.MixedNE == nil || res.MixedNE.Family != tc.family {
 				t.Errorf("want the %s family: %+v", tc.family, res.MixedNE)
+			}
+
+			tiny := newTestServer(t)
+			tiny.cache = newSolveCache(1)
+			normalize(t, do(tiny, http.MethodPost, "/v1/solve", body), false)
+			d := counterDelta([]string{"server.cache.evictions"}, func() {
+				normalize(t, do(tiny, http.MethodPost, "/v1/solve", `{"graph6":"A_","k":1}`), false)
+			})
+			if d["server.cache.evictions"] != 1 {
+				t.Fatalf("the second answer evicted %d entries, want 1", d["server.cache.evictions"])
+			}
+			if resolved := normalize(t, do(tiny, http.MethodPost, "/v1/solve", body), false); resolved != hit {
+				t.Errorf("body solved again after an eviction differs from the cached one:\nagain:  %s\ncached: %s", resolved, hit)
 			}
 		})
 	}
