@@ -100,6 +100,44 @@ func TestNonExistenceErrors(t *testing.T) {
 	}
 }
 
+// TestSolveWithPartitionChecksRep: a caller-supplied Rep is the expander
+// witness the solve trusts, so a wrong one is refused, and a right one
+// gives the same equilibrium as letting the solver find its own.
+func TestSolveWithPartitionChecksRep(t *testing.T) {
+	g := defender.CycleGraph(6)
+	is, vc := []int{0, 2, 4}, []int{1, 3, 5}
+	for name, rep := range map[string]map[int]int{
+		"non-neighbour":      {1: 4, 3: 2, 5: 0},
+		"repeated IS vertex": {1: 2, 3: 2, 5: 4},
+		"missing VC vertex":  {1: 0, 3: 2},
+	} {
+		p := defender.Partition{IS: is, VC: vc, Rep: rep}
+		if _, err := defender.SolveWithPartition(g, 2, 2, p); err == nil {
+			t.Errorf("%s: SolveWithPartition accepted Rep %v", name, rep)
+		}
+	}
+	found, err := defender.SolveWithPartition(g, 2, 2, defender.Partition{IS: is, VC: vc})
+	if err != nil {
+		t.Fatalf("nil Rep: %v", err)
+	}
+	p, err := defender.FindPartition(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	given, err := defender.SolveWithPartition(g, 2, 2, p)
+	if err != nil {
+		t.Fatalf("FindPartition's Rep: %v", err)
+	}
+	for _, ne := range []defender.TupleEquilibrium{found, given} {
+		if err := defender.VerifyNE(ne.Game, ne.Profile); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if found.DefenderGain().Cmp(given.DefenderGain()) != 0 {
+		t.Errorf("gains differ: %v vs %v", found.DefenderGain(), given.DefenderGain())
+	}
+}
+
 func TestStructuralAPI(t *testing.T) {
 	pm, err := defender.PerfectMatchingNE(defender.PetersenGraph(), 4, 2)
 	if err != nil {

@@ -31,12 +31,15 @@ var ErrKTooLarge = errors.New("core: k exceeds the matching-equilibrium edge sup
 //
 // The result is a k-matching mixed Nash equilibrium of Π_k(G) (Theorem
 // 4.12) computed in O(k·n) time after step 1 (Theorem 4.13).
+//
+// Step 1 needs only the support of s', so the Π_1 profile AlgorithmA would
+// build around it is never made: the Π_k profile is validated instead.
 func AlgorithmATuple(g *graph.Graph, attackers, k int, p cover.Partition) (TupleEquilibrium, error) {
-	edgeNE, err := AlgorithmA(g, attackers, p)
+	support, err := matchingSupport(g, p)
 	if err != nil {
 		return TupleEquilibrium{}, err
 	}
-	return LiftToTupleModel(edgeNE, k)
+	return liftSupport(g, attackers, k, graph.NormalizeSet(p.IS), support)
 }
 
 // SolveTupleModel computes a k-matching NE of Π_k(G) end to end: it decides

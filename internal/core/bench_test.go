@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/matching"
 	"github.com/defender-game/defender/internal/obs"
 )
 
@@ -133,6 +136,65 @@ func BenchmarkGameValue(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(pivots.Value()-before)/float64(b.N), "pivots/op")
+		})
+	}
+}
+
+// matchedGraph is a random graph on n vertices (n even) with m edges that
+// holds the perfect matching {2i, 2i+1} and the triangle 0-1-2, so it is
+// not bipartite and SolveAny answers it with the perfect-matching family:
+// the shape of serve-large's "matched" requests.
+func matchedGraph(n, m int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New(n)
+	add := func(u, v int) {
+		if u != v && !g.HasEdge(u, v) {
+			if err := g.AddEdge(u, v); err != nil {
+				panic(err)
+			}
+		}
+	}
+	for v := 0; v < n; v += 2 {
+		add(v, v+1)
+	}
+	add(1, 2)
+	add(0, 2)
+	for g.NumEdges() < m {
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	return g
+}
+
+// BenchmarkSolveAnyFromMatching measures a defenderd cache miss's
+// structured solve past the blossom matching, at the server's 256-vertex
+// cap: partition, Algorithm A_tuple and every exact check on the
+// k-matching family (a grid and a tree), and the perfect-matching family
+// on a non-bipartite graph.
+func BenchmarkSolveAnyFromMatching(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		g      *graph.Graph
+		k, nu  int
+		family string
+	}{
+		{"grid-8x32/k=4", graph.Grid(8, 32), 4, 2, "k-matching"},
+		{"tree-256/k=5", graph.NewSeededGenerator(7).Tree(256), 5, 2, "k-matching"},
+		{"matched-256/k=6", matchedGraph(256, 768, 7), 6, 2, "perfect-matching"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			mate := matching.Maximum(bc.g)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, family, err := SolveAnyFromMatchingCtx(ctx, bc.g, mate, bc.nu, bc.k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if family != bc.family {
+					b.Fatalf("family %q, want %q", family, bc.family)
+				}
+			}
 		})
 	}
 }

@@ -53,44 +53,10 @@ func (ne EdgeEquilibrium) DefenderGain() *big.Rat {
 // vertex touches exactly one support edge, and the support covers all of V:
 // the conditions of Lemma 2.1. Both players use uniform distributions.
 func AlgorithmA(g *graph.Graph, attackers int, p cover.Partition) (EdgeEquilibrium, error) {
-	if err := p.Validate(g); err != nil {
-		return EdgeEquilibrium{}, fmt.Errorf("core: algorithm A: %w", err)
+	support, err := matchingSupport(g, p)
+	if err != nil {
+		return EdgeEquilibrium{}, err
 	}
-	rep := p.Rep
-	if rep == nil {
-		var violator []int
-		rep, violator = cover.IsNEExpander(g, p.IS, p.VC)
-		if rep == nil {
-			return EdgeEquilibrium{}, fmt.Errorf("core: algorithm A: partition fails expander condition, violator %v", violator)
-		}
-	}
-
-	// usedIS[v] = true once IS vertex v is incident to a support edge.
-	usedIS := make(map[int]bool, len(p.IS))
-	support := make([]graph.Edge, 0, len(p.IS))
-	for _, v := range p.VC {
-		r, ok := rep[v]
-		if !ok {
-			return EdgeEquilibrium{}, fmt.Errorf("core: algorithm A: no representative for cover vertex %d", v)
-		}
-		if usedIS[r] {
-			return EdgeEquilibrium{}, fmt.Errorf("core: algorithm A: representative %d reused", r)
-		}
-		usedIS[r] = true
-		support = append(support, graph.NewEdge(v, r))
-	}
-	for _, v := range p.IS {
-		if usedIS[v] {
-			continue
-		}
-		nbrs := g.Neighbors(v)
-		if len(nbrs) == 0 {
-			return EdgeEquilibrium{}, fmt.Errorf("core: algorithm A: %w", game.ErrIsolatedVertex)
-		}
-		support = append(support, graph.NewEdge(v, nbrs[0]))
-		usedIS[v] = true
-	}
-
 	gm, err := game.New(g, attackers, 1)
 	if err != nil {
 		return EdgeEquilibrium{}, err
@@ -105,6 +71,39 @@ func AlgorithmA(g *graph.Graph, attackers int, p cover.Partition) (EdgeEquilibri
 		VPSupport:   graph.NormalizeSet(p.IS),
 		EdgeSupport: support,
 	}, nil
+}
+
+// matchingSupport is Algorithm A's edge-player support D(tp) in labeling
+// order: the edges (v, rep[v]) for VC ascending, then one edge for every
+// IS vertex no representative uses. The partition is checked first
+// (cover.Partition.Witness), and its representatives come from that
+// check, so the SDR search runs at most once. O(n + m) when p.Rep is set.
+func matchingSupport(g *graph.Graph, p cover.Partition) ([]graph.Edge, error) {
+	rep, err := p.Witness(g)
+	if err != nil {
+		return nil, fmt.Errorf("core: algorithm A: %w", err)
+	}
+	// usedIS[v] = true once IS vertex v is incident to a support edge.
+	// Witness guarantees every VC vertex has a distinct IS representative.
+	usedIS := make([]bool, g.NumVertices())
+	support := make([]graph.Edge, 0, len(p.IS))
+	for _, v := range p.VC {
+		r := rep[v]
+		usedIS[r] = true
+		support = append(support, graph.NewEdge(v, r))
+	}
+	for _, v := range p.IS {
+		if usedIS[v] {
+			continue
+		}
+		nbrs := g.Neighbors(v)
+		if len(nbrs) == 0 {
+			return nil, fmt.Errorf("core: algorithm A: %w", game.ErrIsolatedVertex)
+		}
+		support = append(support, graph.NewEdge(v, nbrs[0]))
+		usedIS[v] = true
+	}
+	return support, nil
 }
 
 // SolveEdgeModel finds a matching NE of Π_1(G) end to end: it decides

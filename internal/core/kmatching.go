@@ -61,48 +61,58 @@ func (ne TupleEquilibrium) HitProbability() *big.Rat {
 //
 // A nil return means mp's supports form a k-matching configuration.
 func CheckKMatchingConfiguration(gm *game.Game, mp game.MixedProfile) error {
-	g := gm.Graph()
-	vpSupport := mp.SupportUnionVP()
+	return checkKMatching(gm.Graph(), mp.TP.Support(), mp.SupportUnionVP(), mp.TP.SupportEdges())
+}
+
+// checkKMatching is CheckKMatchingConfiguration on a profile's support
+// tuples, D(VP) and E(D(tp)), computed once by the caller.
+func checkKMatching(g *graph.Graph, tuples []game.Tuple, vpSupport, edgeIDs []int) error {
 	if !cover.IsIndependentSet(g, vpSupport) {
 		return fmt.Errorf("%w: attacker support %v is not independent", ErrNotKMatching, vpSupport)
 	}
 
-	edgeIDs := mp.TP.SupportEdges()
-	incident := make(map[int]int, len(vpSupport))
+	// incident[v] counts the support edges at v, for v in D(VP) only.
+	incident := make([]int, g.NumVertices())
+	for _, v := range vpSupport {
+		if v < 0 || v >= len(incident) {
+			return fmt.Errorf("%w: attacker support vertex %d out of range", ErrNotKMatching, v)
+		}
+		incident[v] = 1 // one more than the count, so 0 marks "not in D(VP)"
+	}
 	for _, id := range edgeIDs {
 		e := g.EdgeByID(id)
-		if graph.SetContains(vpSupport, e.U) {
-			incident[e.U]++
-		}
-		if graph.SetContains(vpSupport, e.V) {
-			incident[e.V]++
+		for _, v := range [2]int{e.U, e.V} {
+			if incident[v] > 0 {
+				incident[v]++
+			}
 		}
 	}
 	for _, v := range vpSupport {
-		if incident[v] != 1 {
-			return fmt.Errorf("%w: support vertex %d incident to %d support edges, want exactly 1", ErrNotKMatching, v, incident[v])
+		if incident[v] != 2 {
+			return fmt.Errorf("%w: support vertex %d incident to %d support edges, want exactly 1", ErrNotKMatching, v, incident[v]-1)
 		}
 	}
 
-	mult := EdgeMultiplicity(mp.TP.Support())
-	want := -1
-	for _, id := range edgeIDs {
-		m := mult[id]
-		if want == -1 {
-			want = m
+	mult := make([]int, g.NumEdges())
+	var ids []int
+	for _, t := range tuples {
+		ids = t.AppendIDs(ids[:0])
+		for _, id := range ids {
+			mult[id]++
 		}
-		if m != want {
+	}
+	for _, id := range edgeIDs {
+		if m, want := mult[id], mult[edgeIDs[0]]; m != want {
 			return fmt.Errorf("%w: edge %v occurs in %d tuples, others in %d", ErrNotKMatching, g.EdgeByID(id), m, want)
 		}
 	}
 	return nil
 }
 
-// checkCoverConditions verifies condition 1 of Theorem 3.4: E(D(tp)) is an
-// edge cover of G and D(VP) is a vertex cover of the graph it induces.
-func checkCoverConditions(gm *game.Game, mp game.MixedProfile) error {
-	g := gm.Graph()
-	edgeIDs := mp.TP.SupportEdges()
+// checkCoverConditions verifies condition 1 of Theorem 3.4 on a profile's
+// D(VP) and E(D(tp)): E(D(tp)) is an edge cover of G and D(VP) is a vertex
+// cover of the graph it induces.
+func checkCoverConditions(g *graph.Graph, vpSupport, edgeIDs []int) error {
 	edges := make([]graph.Edge, len(edgeIDs))
 	for i, id := range edgeIDs {
 		edges[i] = g.EdgeByID(id)
@@ -110,7 +120,7 @@ func checkCoverConditions(gm *game.Game, mp game.MixedProfile) error {
 	if !cover.IsEdgeCover(g, edges) {
 		return fmt.Errorf("%w: E(D(tp)) is not an edge cover of G", ErrNotKMatching)
 	}
-	if !cover.IsVertexCoverOfEdges(g.NumVertices(), edges, mp.SupportUnionVP()) {
+	if !cover.IsVertexCoverOfEdges(g.NumVertices(), edges, vpSupport) {
 		return fmt.Errorf("%w: D(VP) is not a vertex cover of the graph obtained by E(D(tp))", ErrNotKMatching)
 	}
 	return nil
@@ -130,13 +140,13 @@ func BuildKMatchingNE(g *graph.Graph, attackers, k int, vpSupport []int, tuples 
 	if err != nil {
 		return TupleEquilibrium{}, err
 	}
-	if err := CheckKMatchingConfiguration(gm, profile); err != nil {
+	support, vp, edgeIDs := profile.TP.Support(), profile.SupportUnionVP(), profile.TP.SupportEdges()
+	if err := checkKMatching(g, support, vp, edgeIDs); err != nil {
 		return TupleEquilibrium{}, err
 	}
-	if err := checkCoverConditions(gm, profile); err != nil {
+	if err := checkCoverConditions(g, vp, edgeIDs); err != nil {
 		return TupleEquilibrium{}, err
 	}
-	edgeIDs := profile.TP.SupportEdges()
 	edges := make([]graph.Edge, len(edgeIDs))
 	for i, id := range edgeIDs {
 		edges[i] = g.EdgeByID(id)
@@ -144,8 +154,8 @@ func BuildKMatchingNE(g *graph.Graph, attackers, k int, vpSupport []int, tuples 
 	return TupleEquilibrium{
 		Game:        gm,
 		Profile:     profile,
-		VPSupport:   graph.NormalizeSet(vpSupport),
+		VPSupport:   vp,
 		EdgeSupport: edges,
-		Tuples:      profile.TP.Support(),
+		Tuples:      support,
 	}, nil
 }

@@ -18,15 +18,20 @@ import (
 // consecutively, forming the δ = E/gcd(E,k) cyclic k-windows as the tuple
 // support, keeping D(VP) = D_s'(vp), and playing uniformly.
 func LiftToTupleModel(ne EdgeEquilibrium, k int) (TupleEquilibrium, error) {
-	g := ne.Game.Graph()
+	return liftSupport(ne.Game.Graph(), ne.Game.Attackers(), k, ne.VPSupport, ne.EdgeSupport)
+}
+
+// liftSupport is LiftToTupleModel on the supports of a matching NE of
+// Π_1(G): vpSupport = D(vp) and edgeSupport = D(tp) in labeling order.
+func liftSupport(g *graph.Graph, attackers, k int, vpSupport []int, edgeSupport []graph.Edge) (TupleEquilibrium, error) {
 	if k < 1 {
 		return TupleEquilibrium{}, fmt.Errorf("core: lift: k must be positive, got %d", k)
 	}
-	if k > len(ne.EdgeSupport) {
-		return TupleEquilibrium{}, fmt.Errorf("%w: k=%d > |E(D(tp))|=%d", ErrKTooLarge, k, len(ne.EdgeSupport))
+	if k > len(edgeSupport) {
+		return TupleEquilibrium{}, fmt.Errorf("%w: k=%d > |E(D(tp))|=%d", ErrKTooLarge, k, len(edgeSupport))
 	}
-	ids := make([]int, len(ne.EdgeSupport))
-	for i, e := range ne.EdgeSupport {
+	ids := make([]int, len(edgeSupport))
+	for i, e := range edgeSupport {
 		id := g.EdgeID(e)
 		if id < 0 {
 			return TupleEquilibrium{}, fmt.Errorf("core: lift: support edge %v not in graph", e)
@@ -37,13 +42,13 @@ func LiftToTupleModel(ne EdgeEquilibrium, k int) (TupleEquilibrium, error) {
 	if err != nil {
 		return TupleEquilibrium{}, err
 	}
-	kne, err := BuildKMatchingNE(g, ne.Game.Attackers(), k, ne.VPSupport, tuples)
+	kne, err := BuildKMatchingNE(g, attackers, k, vpSupport, tuples)
 	if err != nil {
 		return TupleEquilibrium{}, fmt.Errorf("core: lift to Π_%d: %w", k, err)
 	}
 	// Preserve the labeling order of the source equilibrium so that
 	// round-tripping is the identity on supports.
-	kne.EdgeSupport = append([]graph.Edge(nil), ne.EdgeSupport...)
+	kne.EdgeSupport = append([]graph.Edge(nil), edgeSupport...)
 	return kne, nil
 }
 
@@ -71,7 +76,7 @@ func ReduceToEdgeModel(kne TupleEquilibrium) (EdgeEquilibrium, error) {
 	if err := CheckKMatchingConfiguration(gm, profile); err != nil {
 		return EdgeEquilibrium{}, fmt.Errorf("core: reduce to Π_1: %w", err)
 	}
-	if err := checkCoverConditions(gm, profile); err != nil {
+	if err := checkCoverConditions(g, profile.SupportUnionVP(), profile.TP.SupportEdges()); err != nil {
 		return EdgeEquilibrium{}, fmt.Errorf("core: reduce to Π_1: %w", err)
 	}
 	return ne, nil

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/big"
 	"testing"
 
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/matching"
 )
 
 // TestSolveAnyFamilies: the unified solver picks the expected family per
@@ -153,5 +155,28 @@ func TestHeawoodFamiliesTie(t *testing.T) {
 		if err := VerifyNE(pm.Game, pm.Profile); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSolveAnyAllocs gates the allocations of a structured solve past the
+// matching: Grid(16,16) at k=4, ν=2 takes the k-matching family, whose
+// checks (partition witness, Game.Validate, Definition 4.1 and the
+// Theorem 3.4 cover conditions) all run exactly. They once allocated
+// 13,544 times per solve, mostly for big.Rat sums, string tuple keys and
+// a discarded Π_1 profile; nearly all that is left is the SDR search of
+// the König route.
+func TestSolveAnyAllocs(t *testing.T) {
+	g := graph.Grid(16, 16)
+	mate := matching.Maximum(g)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, family, err := SolveAnyFromMatchingCtx(ctx, g, mate, 2, 4); err != nil || family != "k-matching" {
+			t.Fatalf("family %q, err %v", family, err)
+		}
+	})
+	t.Logf("Grid(16,16), k=4, ν=2: %.0f allocs per solve", allocs)
+	const limit = 3432
+	if allocs > limit {
+		t.Errorf("a Grid(16,16) k=4 solve allocates %.0f times, want <= %d", allocs, limit)
 	}
 }

@@ -58,18 +58,6 @@ func CyclicTuples(g *graph.Graph, edgeIDs []int, k int) ([]game.Tuple, error) {
 	return tuples, nil
 }
 
-// EdgeMultiplicity counts how many of the given tuples contain each edge
-// index, returning a map restricted to edges that occur at least once.
-func EdgeMultiplicity(tuples []game.Tuple) map[int]int {
-	mult := make(map[int]int)
-	for _, t := range tuples {
-		for _, id := range t.IDs() {
-			mult[id]++
-		}
-	}
-	return mult
-}
-
 // gcd returns the greatest common divisor of two positive integers.
 func gcd(a, b int) int {
 	for b != 0 {

@@ -71,7 +71,7 @@ func TestCyclicTuplesKnownShapes(t *testing.T) {
 		if len(tuples) != tt.wantDelta {
 			t.Errorf("k=%d: δ = %d, want %d", tt.k, len(tuples), tt.wantDelta)
 		}
-		mult := EdgeMultiplicity(tuples)
+		mult := edgeMultiplicity(tuples)
 		if len(mult) != len(ids) {
 			t.Errorf("k=%d: only %d of %d edges used", tt.k, len(mult), len(ids))
 		}
@@ -150,7 +150,7 @@ func TestPropertyClaim49(t *testing.T) {
 			}
 			seen[tp.Key()] = true
 		}
-		mult := EdgeMultiplicity(tuples)
+		mult := edgeMultiplicity(tuples)
 		for _, id := range ids {
 			if mult[id] != k/d {
 				return false
@@ -164,16 +164,28 @@ func TestPropertyClaim49(t *testing.T) {
 }
 
 func TestEdgeMultiplicityEmpty(t *testing.T) {
-	if got := EdgeMultiplicity(nil); len(got) != 0 {
-		t.Errorf("EdgeMultiplicity(nil) = %v", got)
+	if got := edgeMultiplicity(nil); len(got) != 0 {
+		t.Errorf("edgeMultiplicity(nil) = %v", got)
 	}
 	g := graph.Path(3)
 	tp, err := game.NewTupleFromIDs(g, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mult := EdgeMultiplicity([]game.Tuple{tp, tp})
+	mult := edgeMultiplicity([]game.Tuple{tp, tp})
 	if mult[0] != 2 || mult[1] != 2 {
 		t.Errorf("mult = %v", mult)
 	}
+}
+
+// edgeMultiplicity counts how many of the given tuples contain each edge
+// index, returning a map restricted to edges that occur at least once.
+func edgeMultiplicity(tuples []game.Tuple) map[int]int {
+	mult := make(map[int]int)
+	for _, t := range tuples {
+		for _, id := range t.IDs() {
+			mult[id]++
+		}
+	}
+	return mult
 }

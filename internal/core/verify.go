@@ -84,7 +84,7 @@ func VerifyCharacterization(gm *game.Game, mp game.MixedProfile) error {
 	if err := VerifyNE(gm, mp); err != nil { // conditions 2(a) and 3(a)
 		return err
 	}
-	if err := checkCoverConditions(gm, mp); err != nil { // condition 1
+	if err := checkCoverConditions(gm.Graph(), mp.SupportUnionVP(), mp.TP.SupportEdges()); err != nil { // condition 1
 		return fmt.Errorf("%w: %v", ErrNotEquilibrium, err)
 	}
 	// Condition 3(b): the attacker mass concentrates on V(D(tp)).

@@ -21,20 +21,54 @@ type Partition struct {
 	Rep map[int]int
 }
 
-// Validate re-checks all three partition properties against g.
-// O(n + |VC| · m) (SDR-dominated); allocates check scratch.
+// Validate re-checks all three partition properties against g: see
+// Witness, whose representatives it drops.
 // Sparse counterpart: PartitionCSR.Validate.
 func (p Partition) Validate(g *graph.Graph) error {
-	if !graph.IsPartition(p.IS, p.VC, g.NumVertices()) {
-		return fmt.Errorf("cover: IS and VC do not partition the %d vertices", g.NumVertices())
+	_, err := p.Witness(g)
+	return err
+}
+
+// Witness checks that (IS, VC) partitions V(G) with IS independent and
+// returns the system of distinct representatives that proves the expander
+// condition by Hall's theorem. When p.Rep is set it is checked as that
+// witness: every VC vertex has a representative, each one an IS neighbour,
+// and no two VC vertices share one. A wrong Rep is refused, never
+// repaired. When p.Rep is nil the SDR search (IsNEExpander) finds one.
+// O(n + m) with Rep, O(n + |VC| · m) without; allocates check scratch.
+func (p Partition) Witness(g *graph.Graph) (map[int]int, error) {
+	n := g.NumVertices()
+	if !graph.IsPartition(p.IS, p.VC, n) {
+		return nil, fmt.Errorf("cover: IS and VC do not partition the %d vertices", n)
 	}
 	if !IsIndependentSet(g, p.IS) {
-		return errors.New("cover: IS is not an independent set")
+		return nil, errors.New("cover: IS is not an independent set")
 	}
-	if rep, violator := IsNEExpander(g, p.IS, p.VC); rep == nil {
-		return fmt.Errorf("cover: G is not a VC-expander, violator %v", violator)
+	if p.Rep == nil {
+		rep, violator := IsNEExpander(g, p.IS, p.VC)
+		if rep == nil {
+			return nil, fmt.Errorf("cover: G is not a VC-expander, violator %v", violator)
+		}
+		return rep, nil
 	}
-	return nil
+	if len(p.Rep) != len(p.VC) {
+		return nil, fmt.Errorf("cover: Rep has %d entries for %d VC vertices", len(p.Rep), len(p.VC))
+	}
+	inIS := membership(n, p.IS)
+	used := make([]bool, n)
+	for _, v := range p.VC {
+		r, ok := p.Rep[v]
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("cover: Rep has no representative for VC vertex %d", v)
+		case r < 0 || r >= n || !inIS[r] || !g.HasEdge(v, r):
+			return nil, fmt.Errorf("cover: Rep maps VC vertex %d to %d, not an IS neighbour", v, r)
+		case used[r]:
+			return nil, fmt.Errorf("cover: Rep uses IS vertex %d twice", r)
+		}
+		used[r] = true
+	}
+	return p.Rep, nil
 }
 
 // FindNEPartition decides Corollary 4.11 exactly for every graph and

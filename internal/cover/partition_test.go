@@ -306,6 +306,58 @@ func TestPartitionValidateRejectsBadPartitions(t *testing.T) {
 	}
 }
 
+// TestPartitionWitnessChecksRep: a supplied Rep is checked as a Hall
+// witness (each VC vertex has its own IS neighbour), never trusted and
+// never silently replaced; a nil Rep still runs the SDR search.
+func TestPartitionWitnessChecksRep(t *testing.T) {
+	c6 := graph.Cycle(6) // IS {0,2,4}, VC {1,3,5}
+	p4 := graph.Path(4)  // IS {0,3}, VC {1,2}: VC holds the edge 1-2
+	tests := []struct {
+		name string
+		g    *graph.Graph
+		p    Partition
+	}{
+		{"non-neighbour", c6, Partition{IS: []int{0, 2, 4}, VC: []int{1, 3, 5}, Rep: map[int]int{1: 4, 3: 2, 5: 0}}},
+		{"VC vertex as rep", p4, Partition{IS: []int{0, 3}, VC: []int{1, 2}, Rep: map[int]int{1: 2, 2: 3}}},
+		{"out-of-range rep", c6, Partition{IS: []int{0, 2, 4}, VC: []int{1, 3, 5}, Rep: map[int]int{1: 0, 3: 2, 5: 6}}},
+		{"repeated IS vertex", c6, Partition{IS: []int{0, 2, 4}, VC: []int{1, 3, 5}, Rep: map[int]int{1: 2, 3: 2, 5: 4}}},
+		{"missing VC vertex", c6, Partition{IS: []int{0, 2, 4}, VC: []int{1, 3, 5}, Rep: map[int]int{1: 0, 3: 2}}},
+		{"key outside VC", c6, Partition{IS: []int{0, 2, 4}, VC: []int{1, 3, 5}, Rep: map[int]int{1: 0, 3: 2, 0: 4}}},
+		{"extra key", c6, Partition{IS: []int{0, 2, 4}, VC: []int{1, 3, 5}, Rep: map[int]int{1: 0, 3: 2, 5: 4, 0: 1}}},
+		{"empty non-nil Rep", c6, Partition{IS: []int{0, 2, 4}, VC: []int{1, 3, 5}, Rep: map[int]int{}}},
+		{"nil Rep, not an expander", graph.Cycle(4), Partition{IS: []int{0}, VC: []int{1, 2, 3}}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if rep, err := tt.p.Witness(tt.g); err == nil {
+				t.Errorf("Witness accepted, rep %v", rep)
+			}
+			if err := tt.p.Validate(tt.g); err == nil {
+				t.Error("Validate accepted")
+			}
+		})
+	}
+
+	good := Partition{IS: []int{0, 2, 4}, VC: []int{1, 3, 5}, Rep: map[int]int{1: 2, 3: 4, 5: 0}}
+	rep, err := good.Witness(c6)
+	if err != nil {
+		t.Fatalf("a correct Rep refused: %v", err)
+	}
+	if len(rep) != 3 || rep[1] != 2 || rep[3] != 4 || rep[5] != 0 {
+		t.Errorf("Witness replaced the supplied Rep with %v", rep)
+	}
+
+	// Without a Rep, Witness finds one by the SDR search, and what it
+	// finds passes as a supplied witness.
+	found, err := Partition{IS: good.IS, VC: good.VC}.Witness(c6)
+	if err != nil {
+		t.Fatalf("nil Rep: %v", err)
+	}
+	if err := (Partition{IS: good.IS, VC: good.VC, Rep: found}).Validate(c6); err != nil {
+		t.Errorf("the SDR %v fails as a witness: %v", found, err)
+	}
+}
+
 func TestEnumerateMaximalIndependentSets(t *testing.T) {
 	// C5 has exactly 5 maximal independent sets (the 5 "diagonal pairs").
 	var count int

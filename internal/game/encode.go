@@ -50,15 +50,15 @@ func (gm *Game) EncodeProfile(mp MixedProfile) ([]byte, error) {
 	}
 	for _, s := range mp.VP {
 		entry := vertexStrategyJSON{Probs: make(map[string]string, len(s.support))}
-		for _, v := range s.support {
-			entry.Probs[fmt.Sprint(v)] = s.prob[v].RatString()
+		for i, v := range s.support {
+			entry.Probs[fmt.Sprint(v)] = s.probs[i].String()
 		}
 		out.VertexPlayers = append(out.VertexPlayers, entry)
 	}
-	for _, t := range mp.TP.tuples {
+	for i, t := range mp.TP.tuples {
 		out.TuplePlayer = append(out.TuplePlayer, tupleEntryJSON{
 			Edges: t.IDs(),
-			Prob:  mp.TP.prob[t.Key()].RatString(),
+			Prob:  mp.TP.probs[i].String(),
 		})
 	}
 	return json.MarshalIndent(out, "", "  ")

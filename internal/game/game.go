@@ -17,6 +17,7 @@ package game
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,6 +130,10 @@ func (t Tuple) IDs() []int {
 	return out
 }
 
+// AppendIDs appends the sorted edge indices to buf and returns the
+// extended buffer, for loops that read many tuples without a copy each.
+func (t Tuple) AppendIDs(buf []int) []int { return append(buf, t.ids...) }
+
 // Edges resolves the tuple against g's edge list.
 func (t Tuple) Edges(g *graph.Graph) []graph.Edge {
 	out := make([]graph.Edge, len(t.ids))
@@ -141,12 +146,19 @@ func (t Tuple) Edges(g *graph.Graph) []graph.Edge {
 // Vertices returns V(t): the sorted set of distinct endpoints of the
 // tuple's edges.
 func (t Tuple) Vertices(g *graph.Graph) []int {
-	vs := make([]int, 0, 2*len(t.ids))
+	return t.vertices(g, make([]int, 0, 2*len(t.ids)))
+}
+
+// vertices is Vertices written into buf's storage, so the hot loops reuse
+// one buffer across tuples.
+func (t Tuple) vertices(g *graph.Graph, buf []int) []int {
+	buf = buf[:0]
 	for _, id := range t.ids {
 		e := g.EdgeByID(id)
-		vs = append(vs, e.U, e.V)
+		buf = append(buf, e.U, e.V)
 	}
-	return graph.NormalizeSet(vs)
+	sort.Ints(buf)
+	return slices.Compact(buf)
 }
 
 // covers reports whether vertex v is an endpoint of some edge of the tuple.

@@ -3,42 +3,37 @@ package game
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/rat"
 )
 
-// ratOne is the constant 1 used by validation; never mutated.
-var ratOne = big.NewRat(1, 1)
-
 // VertexStrategy is a mixed strategy of a vertex player: a probability
 // distribution over vertices with finite support. Probabilities are exact
-// rationals and are treated as immutable once the strategy is built.
+// small rationals (internal/rat, which promotes to big.Rat whenever a value
+// stops fitting int64) and are treated as immutable once the strategy is
+// built.
 type VertexStrategy struct {
-	support []int // sorted
-	prob    map[int]*big.Rat
-	// rprobs caches the support probabilities as small rationals, aligned
-	// with support, so the load accumulators run on the internal/rat fast
-	// path without touching the big.Rat map.
-	rprobs rat.Vec
+	support []int   // sorted
+	probs   rat.Vec // probs[i] is the probability of support[i]
 }
 
 // NewVertexStrategy builds a strategy from explicit vertex probabilities.
 // Zero-probability entries are dropped from the support.
 func NewVertexStrategy(probs map[int]*big.Rat) VertexStrategy {
-	s := VertexStrategy{prob: make(map[int]*big.Rat, len(probs))}
+	s := VertexStrategy{support: make([]int, 0, len(probs))}
 	for v, p := range probs {
 		if p == nil || p.Sign() == 0 {
 			continue
 		}
-		s.prob[v] = new(big.Rat).Set(p) // lint:invariant(ratraw): defensive copy retained by the strategy; callers may mutate p
 		s.support = append(s.support, v)
 	}
 	sort.Ints(s.support)
-	s.rprobs = rat.NewVec(len(s.support))
+	s.probs = rat.NewVec(len(s.support))
 	for i, v := range s.support {
-		s.rprobs[i].SetBig(s.prob[v])
+		s.probs[i].SetBig(probs[v]) // a copy: callers may mutate probs[v]
 	}
 	return s
 }
@@ -47,13 +42,11 @@ func NewVertexStrategy(probs map[int]*big.Rat) VertexStrategy {
 // equation (4)).
 func UniformVertexStrategy(support []int) VertexStrategy {
 	support = graph.NormalizeSet(support)
-	p := make(map[int]*big.Rat, len(support))
-	rp := rat.NewVec(len(support))
-	for i, v := range support {
-		p[v] = big.NewRat(1, int64(len(support))) // lint:invariant(ratraw): each probability escapes into the strategy map
-		rp[i].SetFrac64(1, int64(len(support)))
+	probs := rat.NewVec(len(support))
+	for i := range probs {
+		probs[i].SetFrac64(1, int64(len(support)))
 	}
-	return VertexStrategy{support: support, prob: p, rprobs: rp}
+	return VertexStrategy{support: support, probs: probs}
 }
 
 // Support returns D(vp): the sorted vertices with positive probability.
@@ -64,43 +57,58 @@ func (s VertexStrategy) Support() []int {
 }
 
 // Prob returns the probability assigned to v (zero if outside the support).
-// The result is a defensive copy: mutating it cannot corrupt the strategy,
-// which stays immutable after construction (the ratalias analyzer enforces
-// the same property inside this package).
+// The result is freshly allocated: mutating it cannot corrupt the
+// strategy, which stays immutable after construction.
 func (s VertexStrategy) Prob(v int) *big.Rat {
-	if p, ok := s.prob[v]; ok {
-		return new(big.Rat).Set(p)
+	if i, ok := slices.BinarySearch(s.support, v); ok {
+		return s.probs[i].Big()
 	}
 	return new(big.Rat)
 }
 
+// shares reports whether s and o hold the same storage, as the ν copies
+// NewSymmetricProfile makes of one strategy do. Strategies are immutable,
+// so shared storage means equal strategies.
+func (s VertexStrategy) shares(o VertexStrategy) bool {
+	if len(s.support) != len(o.support) || len(s.probs) != len(o.probs) {
+		return false
+	}
+	return len(s.support) == 0 || (&s.support[0] == &o.support[0] && &s.probs[0] == &o.probs[0])
+}
+
 // validate checks s is a probability distribution over vertices 0..n-1.
+// The sum is exact: rat adds in int64 and falls back to big.Rat when a
+// partial sum does not fit.
 func (s VertexStrategy) validate(n int) error {
-	sum := new(big.Rat)
-	for _, v := range s.support {
+	var sum rat.Rat
+	for i, v := range s.support {
 		if v < 0 || v >= n {
 			return fmt.Errorf("%w: vertex %d out of range", ErrInvalidProfile, v)
 		}
-		p := s.prob[v]
+		p := &s.probs[i]
 		if p.Sign() <= 0 {
-			return fmt.Errorf("%w: non-positive probability %v on vertex %d", ErrInvalidProfile, p, v)
+			return fmt.Errorf("%w: non-positive probability %v on vertex %d", ErrInvalidProfile, p.Big(), v)
 		}
-		sum.Add(sum, p)
+		sum.Add(&sum, p)
 	}
-	if sum.Cmp(ratOne) != 0 {
-		return fmt.Errorf("%w: vertex probabilities sum to %v, want 1", ErrInvalidProfile, sum)
+	if !isOne(&sum) {
+		return fmt.Errorf("%w: vertex probabilities sum to %v, want 1", ErrInvalidProfile, sum.Big())
 	}
 	return nil
 }
 
+// isOne reports whether x == 1.
+func isOne(x *rat.Rat) bool {
+	var one rat.Rat
+	return x.Cmp(one.SetInt64(1)) == 0
+}
+
 // TupleStrategy is the defender's mixed strategy: a distribution over
-// tuples with finite support, indexed by canonical tuple key.
+// tuples with finite support, held as the tuples in compareTuple order
+// with their probabilities aligned beside them.
 type TupleStrategy struct {
-	tuples []Tuple // sorted by Key for deterministic iteration
-	prob   map[string]*big.Rat
-	// rprobs caches the tuple probabilities as small rationals, aligned
-	// with tuples, feeding the hit-probability fast path.
-	rprobs rat.Vec
+	tuples []Tuple // sorted by compareTuple, pairwise distinct
+	probs  rat.Vec // probs[i] is the probability of tuples[i]
 }
 
 // NewTupleStrategy builds a strategy from tuples and matching
@@ -110,23 +118,18 @@ func NewTupleStrategy(tuples []Tuple, probs []*big.Rat) (TupleStrategy, error) {
 	if len(tuples) != len(probs) {
 		return TupleStrategy{}, fmt.Errorf("%w: %d tuples, %d probabilities", ErrInvalidProfile, len(tuples), len(probs))
 	}
-	s := TupleStrategy{prob: make(map[string]*big.Rat, len(tuples))}
+	s := TupleStrategy{tuples: make([]Tuple, 0, len(tuples)), probs: rat.NewVec(len(tuples))}
 	for i, t := range tuples {
 		p := probs[i]
 		if p == nil || p.Sign() == 0 {
 			continue
 		}
-		key := t.Key()
-		if _, dup := s.prob[key]; dup {
-			return TupleStrategy{}, fmt.Errorf("%w: duplicate tuple %v in support", ErrInvalidProfile, t)
-		}
-		s.prob[key] = new(big.Rat).Set(p) // lint:invariant(ratraw): defensive copy retained by the strategy; callers may mutate p
+		s.probs[len(s.tuples)].SetBig(p) // a copy: callers may mutate p
 		s.tuples = append(s.tuples, t)
 	}
-	sort.Slice(s.tuples, func(i, j int) bool { return lessTuple(s.tuples[i], s.tuples[j]) })
-	s.rprobs = rat.NewVec(len(s.tuples))
-	for i, t := range s.tuples {
-		s.rprobs[i].SetBig(s.prob[t.Key()])
+	s.probs = s.probs[:len(s.tuples)]
+	if err := s.sortSupport(); err != nil {
+		return TupleStrategy{}, err
 	}
 	return s, nil
 }
@@ -137,57 +140,98 @@ func UniformTupleStrategy(tuples []Tuple) (TupleStrategy, error) {
 	if len(tuples) == 0 {
 		return TupleStrategy{}, fmt.Errorf("%w: empty tuple support", ErrInvalidProfile)
 	}
-	probs := make([]*big.Rat, len(tuples))
-	for i := range probs {
-		probs[i] = big.NewRat(1, int64(len(tuples))) // lint:invariant(ratraw): each probability escapes into the strategy
+	s := TupleStrategy{tuples: slices.Clone(tuples), probs: rat.NewVec(len(tuples))}
+	for i := range s.probs {
+		s.probs[i].SetFrac64(1, int64(len(tuples)))
 	}
-	return NewTupleStrategy(tuples, probs)
+	if err := s.sortSupport(); err != nil {
+		return TupleStrategy{}, err
+	}
+	return s, nil
 }
 
-// lessTuple orders tuples lexicographically by edge indices.
-func lessTuple(a, b Tuple) bool {
-	for i := 0; i < len(a.ids) && i < len(b.ids); i++ {
-		if a.ids[i] != b.ids[i] {
-			return a.ids[i] < b.ids[i]
+// sortSupport sorts the tuples by compareTuple, carrying each probability
+// with its tuple, and rejects a tuple that occurs twice: after the sort
+// its copies are adjacent.
+func (s *TupleStrategy) sortSupport() error {
+	sort.Sort(byTuple{s})
+	for i := 1; i < len(s.tuples); i++ {
+		if compareTuple(s.tuples[i-1], s.tuples[i]) == 0 {
+			return fmt.Errorf("%w: duplicate tuple %v in support", ErrInvalidProfile, s.tuples[i])
 		}
 	}
-	return len(a.ids) < len(b.ids)
+	return nil
+}
+
+// byTuple sorts a strategy's tuples and probabilities together.
+type byTuple struct{ s *TupleStrategy }
+
+func (b byTuple) Len() int           { return len(b.s.tuples) }
+func (b byTuple) Less(i, j int) bool { return compareTuple(b.s.tuples[i], b.s.tuples[j]) < 0 }
+func (b byTuple) Swap(i, j int) {
+	b.s.tuples[i], b.s.tuples[j] = b.s.tuples[j], b.s.tuples[i]
+	b.s.probs[i], b.s.probs[j] = b.s.probs[j], b.s.probs[i]
+}
+
+// compareTuple orders tuples lexicographically by edge indices.
+func compareTuple(a, b Tuple) int {
+	return slices.Compare(a.ids, b.ids)
 }
 
 // Support returns D(tp): the tuples with positive probability, in
 // deterministic order.
 func (s TupleStrategy) Support() []Tuple {
-	out := make([]Tuple, len(s.tuples))
-	copy(out, s.tuples)
-	return out
+	return slices.Clone(s.tuples)
 }
 
 // SupportSize returns |D(tp)|.
 func (s TupleStrategy) SupportSize() int { return len(s.tuples) }
 
 // Prob returns the probability of tuple t (zero outside the support).
-// The result is a defensive copy: mutating it cannot corrupt the strategy.
+// The result is freshly allocated: mutating it cannot corrupt the strategy.
 func (s TupleStrategy) Prob(t Tuple) *big.Rat {
-	if p, ok := s.prob[t.Key()]; ok {
-		return new(big.Rat).Set(p)
+	if i, ok := slices.BinarySearchFunc(s.tuples, t, compareTuple); ok {
+		return s.probs[i].Big()
 	}
 	return new(big.Rat)
 }
 
 // SupportEdges returns E(D(tp)): the sorted distinct edge indices appearing
-// in some support tuple.
+// in some support tuple. O(total tuple size + largest index), no sort.
 func (s TupleStrategy) SupportEdges() []int {
-	var ids []int
+	top := -1
 	for _, t := range s.tuples {
-		ids = append(ids, t.ids...)
+		for _, id := range t.ids {
+			top = max(top, id)
+		}
 	}
-	return graph.NormalizeSet(ids)
+	seen := make([]bool, top+1)
+	distinct := 0
+	for _, t := range s.tuples {
+		for _, id := range t.ids {
+			if !seen[id] {
+				seen[id] = true
+				distinct++
+			}
+		}
+	}
+	if distinct == 0 {
+		return nil
+	}
+	ids := make([]int, 0, distinct)
+	for id, ok := range seen {
+		if ok {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
-// validate checks s is a probability distribution over k-tuples of g.
+// validate checks s is a probability distribution over k-tuples of g,
+// summing exactly on the rat path like VertexStrategy.validate.
 func (s TupleStrategy) validate(g *graph.Graph, k int) error {
-	sum := new(big.Rat)
-	for _, t := range s.tuples {
+	var sum rat.Rat
+	for i, t := range s.tuples {
 		if t.Size() != k {
 			return fmt.Errorf("%w: tuple %v has %d edges, want k=%d", ErrInvalidProfile, t, t.Size(), k)
 		}
@@ -196,14 +240,14 @@ func (s TupleStrategy) validate(g *graph.Graph, k int) error {
 				return fmt.Errorf("%w: tuple %v references edge id %d out of range", ErrInvalidProfile, t, id)
 			}
 		}
-		p := s.prob[t.Key()]
+		p := &s.probs[i]
 		if p.Sign() <= 0 {
-			return fmt.Errorf("%w: non-positive probability %v on tuple %v", ErrInvalidProfile, p, t)
+			return fmt.Errorf("%w: non-positive probability %v on tuple %v", ErrInvalidProfile, p.Big(), t)
 		}
-		sum.Add(sum, p)
+		sum.Add(&sum, p)
 	}
-	if sum.Cmp(ratOne) != 0 {
-		return fmt.Errorf("%w: tuple probabilities sum to %v, want 1", ErrInvalidProfile, sum)
+	if !isOne(&sum) {
+		return fmt.Errorf("%w: tuple probabilities sum to %v, want 1", ErrInvalidProfile, sum.Big())
 	}
 	return nil
 }
@@ -233,6 +277,9 @@ func (gm *Game) Validate(mp MixedProfile) error {
 		return fmt.Errorf("%w: %d vertex strategies for ν=%d attackers", ErrInvalidProfile, len(mp.VP), gm.attackers)
 	}
 	for i, s := range mp.VP {
+		if i > 0 && s.shares(mp.VP[i-1]) {
+			continue // attacker i-1 plays the same, already validated, strategy
+		}
 		if err := s.validate(gm.g.NumVertices()); err != nil {
 			return fmt.Errorf("attacker %d: %w", i, err)
 		}
@@ -246,7 +293,10 @@ func (gm *Game) Validate(mp MixedProfile) error {
 // SupportUnionVP returns D(VP): the union of all attacker supports.
 func (mp MixedProfile) SupportUnionVP() []int {
 	var all []int
-	for _, s := range mp.VP {
+	for i, s := range mp.VP {
+		if i > 0 && s.shares(mp.VP[i-1]) {
+			continue
+		}
 		all = append(all, s.support...)
 	}
 	return graph.NormalizeSet(all)
@@ -265,7 +315,7 @@ func (gm *Game) vertexLoadsVec(mp MixedProfile) rat.Vec {
 	loads := rat.NewVec(gm.g.NumVertices())
 	for _, s := range mp.VP {
 		for i, v := range s.support {
-			loads[v].Add(&loads[v], &s.rprobs[i])
+			loads[v].Add(&loads[v], &s.probs[i])
 		}
 	}
 	return loads
@@ -280,9 +330,11 @@ func (gm *Game) HitProbabilities(mp MixedProfile) []*big.Rat {
 // hitVec accumulates the hit probabilities on the fast path.
 func (gm *Game) hitVec(mp MixedProfile) rat.Vec {
 	hit := rat.NewVec(gm.g.NumVertices())
+	var vs []int
 	for i, t := range mp.TP.tuples {
-		p := &mp.TP.rprobs[i]
-		for _, v := range t.Vertices(gm.g) {
+		p := &mp.TP.probs[i]
+		vs = t.vertices(gm.g, vs)
+		for _, v := range vs {
 			hit[v].Add(&hit[v], p)
 		}
 	}
@@ -315,7 +367,7 @@ func (gm *Game) expectedProfitVPWithHit(mp MixedProfile, i int, hit []*big.Rat) 
 	for j, v := range s.support {
 		h.SetBig(hit[v])
 		term.Sub(&one, &h)
-		term.Mul(&term, &s.rprobs[j])
+		term.Mul(&term, &s.probs[j])
 		sum.Add(&sum, &term)
 	}
 	return sum.Big()
@@ -326,12 +378,14 @@ func (gm *Game) expectedProfitVPWithHit(mp MixedProfile, i int, hit []*big.Rat) 
 func (gm *Game) ExpectedProfitTP(mp MixedProfile) *big.Rat {
 	loads := gm.vertexLoadsVec(mp)
 	var sum, tl, contrib rat.Rat
+	var vs []int
 	for i, t := range mp.TP.tuples {
 		tl.SetInt64(0)
-		for _, v := range t.Vertices(gm.g) {
+		vs = t.vertices(gm.g, vs)
+		for _, v := range vs {
 			tl.Add(&tl, &loads[v])
 		}
-		contrib.Mul(&mp.TP.rprobs[i], &tl)
+		contrib.Mul(&mp.TP.probs[i], &tl)
 		sum.Add(&sum, &contrib)
 	}
 	return sum.Big()

@@ -39,14 +39,20 @@ type job struct {
 // golden contract tests — uniqueness only needs to hold per process),
 // completion records, and TTL-based purging of finished jobs so a
 // long-running server does not accumulate every result it ever computed.
+// Every create, complete and get purges, so the store holds the pending
+// jobs plus the jobs finished within one TTL, whether or not anyone polls.
 // Pending jobs are never purged: their broker request is still in flight
 // and will complete.
 type jobStore struct {
 	mu   sync.Mutex
 	seq  int
 	jobs map[string]*job
-	ttl  time.Duration
-	now  func() time.Time // injectable for the TTL tests
+	// finished holds the ids of finished jobs in completion order, oldest
+	// first: the purge pops expired jobs off its front.
+	finished []string
+	pending  int
+	ttl      time.Duration
+	now      func() time.Time // injectable for the TTL tests
 }
 
 func newJobStore(ttl time.Duration) *jobStore {
@@ -57,10 +63,12 @@ func newJobStore(ttl time.Duration) *jobStore {
 func (s *jobStore) create() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.purgeLocked()
 	s.seq++
 	id := fmt.Sprintf("j%08d", s.seq)
 	s.jobs[id] = &job{id: id, status: JobPending}
-	s.pendingLocked()
+	s.pending++
+	jobsPending.Set(float64(s.pending))
 	return id
 }
 
@@ -68,6 +76,7 @@ func (s *jobStore) create() string {
 func (s *jobStore) complete(id string, result []byte, apiErr *apiError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.purgeLocked()
 	j, ok := s.jobs[id]
 	if !ok || j.status != JobPending {
 		return
@@ -80,21 +89,17 @@ func (s *jobStore) complete(id string, result []byte, apiErr *apiError) {
 	} else {
 		j.status = JobFailed
 	}
-	s.pendingLocked()
+	s.finished = append(s.finished, id)
+	s.pending--
+	jobsPending.Set(float64(s.pending))
 }
 
 // get returns a snapshot of the job, purging expired finished jobs on the
-// way (access-driven, so an idle store holds at most the jobs of its TTL
-// window without needing a sweeper goroutine).
+// way.
 func (s *jobStore) get(id string) (job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cutoff := s.now().Add(-s.ttl)
-	for jid, j := range s.jobs {
-		if j.status != JobPending && j.doneAt.Before(cutoff) {
-			delete(s.jobs, jid)
-		}
-	}
+	s.purgeLocked()
 	j, ok := s.jobs[id]
 	if !ok {
 		return job{}, false
@@ -102,13 +107,19 @@ func (s *jobStore) get(id string) (job, bool) {
 	return *j, true
 }
 
-// pendingLocked refreshes the pending-jobs gauge; callers hold s.mu.
-func (s *jobStore) pendingLocked() {
-	n := 0
-	for _, j := range s.jobs {
-		if j.status == JobPending {
-			n++
+// purgeLocked drops the finished jobs whose TTL has run out. Jobs finish
+// in clock order, so the expired ones are a prefix of s.finished and the
+// purge costs O(1) per job it drops; a clock that steps back can only
+// delay a purge, never make one early. Callers hold s.mu.
+func (s *jobStore) purgeLocked() {
+	cutoff := s.now().Add(-s.ttl)
+	for len(s.finished) > 0 {
+		id := s.finished[0]
+		if !s.jobs[id].doneAt.Before(cutoff) {
+			return
 		}
+		delete(s.jobs, id)
+		s.finished[0] = ""
+		s.finished = s.finished[1:]
 	}
-	jobsPending.Set(float64(n))
 }

@@ -424,6 +424,55 @@ func TestJobTTLPurge(t *testing.T) {
 	s.jobs.complete(pendingID, nil, errBad(http.StatusInternalServerError, CodeInternal, "abandoned"))
 }
 
+// TestJobStoreBoundedWithoutPolls: a server whose 202 clients never poll
+// still drops finished jobs once their TTL runs out, because create and
+// complete purge too. 1,000 jobs finish with the clock moving a step
+// between them; the store must end holding exactly the jobs finished
+// within one TTL of the last, and the pending count must return to 0
+// after each completion.
+func TestJobStoreBoundedWithoutPolls(t *testing.T) {
+	result := []byte(strings.Repeat("x", 12<<10))
+	for _, tc := range []struct {
+		name string
+		step time.Duration
+		want int // jobs finished within one TTL of the last
+	}{
+		{"step past the TTL", time.Hour, 1},
+		{"step of a quarter TTL", 10 * time.Minute / 4, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newJobStore(10 * time.Minute)
+			now := time.Now()
+			s.now = func() time.Time { return now }
+			for i := 0; i < 1000; i++ {
+				s.complete(s.create(), result, nil)
+				if s.pending != 0 {
+					t.Fatalf("job %d: %d pending after completion, want 0", i, s.pending)
+				}
+				now = now.Add(tc.step)
+			}
+			now = now.Add(-tc.step) // back to the last completion
+			s.create()              // purges without polling
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			finished := 0
+			for id, j := range s.jobs {
+				if j.status == JobPending {
+					continue
+				}
+				finished++
+				if j.doneAt.Before(now.Add(-s.ttl)) {
+					t.Errorf("job %s finished at %v, more than a TTL before %v", id, j.doneAt, now)
+				}
+			}
+			if finished != tc.want || len(s.finished) != tc.want || s.pending != 1 {
+				t.Errorf("store holds %d finished jobs (queue %d) and %d pending, want %d and 1",
+					finished, len(s.finished), s.pending, tc.want)
+			}
+		})
+	}
+}
+
 // TestSolveTimeout: a request deadline shorter than the solve yields the
 // structured timeout error on the synchronous path.
 func TestSolveTimeout(t *testing.T) {
