@@ -110,7 +110,7 @@ func BenchmarkMaxTupleLoadExhaustive(b *testing.B) {
 // shapes that set its median (grid-3x5/k=2, grid-2x5/k=3, cycle-13/k=3)
 // and on C31/k=3 (4,495 tuples), the largest cycle LP the tests solve.
 // pivots/op reads lp.simplex.pivots, so the registry is enabled for the
-// run; it must equal the dense tableau's count on every shape.
+// run.
 func BenchmarkGameValue(b *testing.B) {
 	reg := obs.Default()
 	was := reg.Enabled()

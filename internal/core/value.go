@@ -61,10 +61,14 @@ func GameValueCtx(ctx context.Context, g *graph.Graph, k int) (*big.Rat, []game.
 
 // solveTupleGame solves the ν = 1 game by LP over all C(m, k) tuples
 // (ErrValueTooLarge past the budget): payoff 1 to the defender when the
-// tuple covers the attacker's vertex. A cancelled ctx stops the LP.
+// tuple covers the attacker's vertex. A cancelled ctx stops the LP, and
+// is checked before the tuples are enumerated.
 func solveTupleGame(ctx context.Context, g *graph.Graph, k int) ([]game.Tuple, lp.GameSolution, error) {
 	if !combinationsWithin(g.NumEdges(), k, valueTupleLimit) {
 		return nil, lp.GameSolution{}, fmt.Errorf("%w: C(%d,%d)", ErrValueTooLarge, g.NumEdges(), k)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, lp.GameSolution{}, err
 	}
 	tuples := EnumerateTuples(g, k)
 	n := g.NumVertices()

@@ -215,21 +215,38 @@ func TestEnumerateTuples(t *testing.T) {
 	}
 }
 
+// trianglesAndEdges is c disjoint triangles plus e disjoint edges: no
+// perfect matching and not König–Egerváry, so SolveAny answers it by LP.
+func trianglesAndEdges(c, e int) *graph.Graph {
+	g := graph.New(3*c + 2*e)
+	for i := 0; i < c; i++ {
+		u := 3 * i
+		g.AddEdge(u, u+1)
+		g.AddEdge(u+1, u+2)
+		g.AddEdge(u, u+2)
+	}
+	for i := 0; i < e; i++ {
+		u := 3*c + 2*i
+		g.AddEdge(u, u+1)
+	}
+	return g
+}
+
 // TestGameValueCtxCancelled: the LP oracle observes ctx at every simplex
-// pivot. On C31 at k = 3 (4,495 tuples, about 0.7 s and 1,084 pivots
-// uncancelled) a cancelled context returns context.Canceled — through
-// GameValueCtx and through SolveAnyCtx's lp-minimax fallback — within
-// half a second of the cancel.
+// pivot. On 48 triangles + 56 edges at k = 2 (n = 256, 19,900 tuples,
+// about 0.6 s and 355 pivots uncancelled on 2 cores) a cancelled context
+// returns context.Canceled — through GameValueCtx and through
+// SolveAnyCtx's lp-minimax fallback — within half a second of the cancel.
 func TestGameValueCtxCancelled(t *testing.T) {
 	const bound = 500 * time.Millisecond
-	g := graph.Cycle(31)
+	g := trianglesAndEdges(48, 56)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, _, _, err := GameValueCtx(ctx, g, 3); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := GameValueCtx(ctx, g, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("GameValueCtx: err = %v, want context.Canceled", err)
 	}
-	if _, _, err := SolveAnyCtx(ctx, g, 2, 3); !errors.Is(err, context.Canceled) {
+	if _, _, err := SolveAnyCtx(ctx, g, 2, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveAnyCtx: err = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 2*bound {
@@ -243,7 +260,7 @@ func TestGameValueCtxCancelled(t *testing.T) {
 		cancelledAt.Store(time.Now().UnixNano())
 		cancel()
 	})
-	_, _, _, err := GameValueCtx(ctx, g, 3)
+	_, _, _, err := GameValueCtx(ctx, g, 2)
 	returned := time.Now()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-solve cancel: err = %v, want context.Canceled", err)

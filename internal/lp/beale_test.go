@@ -1,13 +1,15 @@
 package lp
 
 import (
+	"context"
 	"math/big"
 	"testing"
 )
 
 // TestBealeCyclingExample: Beale's classic LP makes naive Dantzig-rule
-// simplex cycle forever on degenerate pivots. Bland's rule must terminate
-// at the optimum (value 1/20, x = (1/25, 0, 1, 0)).
+// simplex cycle forever on degenerate pivots. The run of degenerate pivots
+// must switch pricing to Bland's rule (lp.simplex.bland_fallbacks), which
+// then terminates at the optimum (value 1/20, x = (1/25, 0, 1, 0)).
 //
 //	max  3/4 x1 − 150 x2 + 1/50 x3 − 6 x4
 //	s.t. 1/4 x1 −  60 x2 − 1/25 x3 + 9 x4 <= 0
@@ -24,12 +26,22 @@ func TestBealeCyclingExample(t *testing.T) {
 	}
 	b := []*big.Rat{new(big.Rat), new(big.Rat), big.NewRat(1, 1)}
 
-	sol, err := Maximize(c, a, b)
+	p, err := newProgram(c, a, b)
 	if err != nil {
-		t.Fatalf("Maximize: %v", err)
+		t.Fatal(err)
 	}
+	enableMetrics(t)
+	before := obsSimplexBlandFallbacks.Value()
+	s, err := p.solve(context.Background())
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if obsSimplexBlandFallbacks.Value() == before {
+		t.Error("no Bland fallback: Dantzig pricing cycles here, so the solve must fall back")
+	}
+	sol := s.solution()
 	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal (Bland's rule must not cycle)", sol.Status)
+		t.Fatalf("status = %v, want optimal (the Bland fallback must not cycle)", sol.Status)
 	}
 	if sol.Value.Cmp(big.NewRat(1, 20)) != 0 {
 		t.Errorf("value = %v, want 1/20", sol.Value)

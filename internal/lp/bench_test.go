@@ -7,9 +7,10 @@ import (
 
 // The simplex micro-benchmarks behind `make bench-kernel` and the CI
 // kernel perf gate (cmd/benchkernel → cmd/benchdiff). The pivot loop is
-// the honest cost unit of the exact solver — each pivot sweeps the whole
-// tableau — so these drive pivot-heavy programs with the rational entry
-// shapes the game reductions produce.
+// the honest cost unit of the exact solver — each pivot is a Θ(m²)
+// basis-inverse update plus one pricing sweep — so these drive
+// pivot-heavy programs with the rational entry shapes the game
+// reductions produce.
 
 // denseProgram builds a deterministic dense LP with fractional
 // coefficients: max Σx s.t. a_ij = (1 + ((i·cols+j) mod 7)) / (1 + ((i+j) mod 5)),

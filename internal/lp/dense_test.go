@@ -8,11 +8,13 @@ import (
 )
 
 // The dense tableau below is the engine the package shipped before the
-// revised simplex: every pivot sweeps all (m+1) × (n+m+2) cells. It is
-// kept only as the differential oracle of revised_test.go — same Bland
-// entering rule, same ratio-test tie-break, same single-artificial phase
-// one — so the two engines must agree on status, value, X, duals, pivot
-// count and final basis on every program.
+// revised simplex: every pivot sweeps all (m+1) × (n+m+2) cells, the
+// entering column is the first with a negative reduced cost (Bland's
+// rule), and a single-artificial phase one handles negative bounds. It is
+// kept only as the differential oracle of revised_test.go. The revised
+// solver prices differently, so the two agree on status and exact value,
+// not on the pivots taken or, where the optimum is not unique, on the
+// optimal vertex.
 
 // denseTableau is the dense simplex tableau:
 //
@@ -23,39 +25,36 @@ import (
 // never allowed to re-enter during phase two. basis[i] is the variable
 // index basic in row i.
 type denseTableau struct {
-	n, m   int
-	cells  []rat.Vec
-	basis  []int
-	objC   rat.Vec
-	pivots int
+	n, m  int
+	cells []rat.Vec
+	basis []int
+	objC  rat.Vec
 
 	factor, prod, inv, ratio, best rat.Rat
 }
 
-// maximizeDense solves max c·x s.t. Ax <= b, x >= 0 on the dense tableau
-// and returns the tableau alongside the solution, so tests can compare
-// pivot counts and bases.
-func maximizeDense(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) (Solution, *denseTableau, error) {
+// maximizeDense solves max c·x s.t. Ax <= b, x >= 0 on the dense tableau.
+func maximizeDense(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) (Solution, error) {
 	n, m := len(c), len(a)
 	if len(b) != m {
-		return Solution{}, nil, fmt.Errorf("%w: %d constraint rows but %d bounds", ErrBadProgram, m, len(b))
+		return Solution{}, fmt.Errorf("%w: %d constraint rows but %d bounds", ErrBadProgram, m, len(b))
 	}
 	for i, row := range a {
 		if len(row) != n {
-			return Solution{}, nil, fmt.Errorf("%w: row %d has %d coefficients, want %d", ErrBadProgram, i, len(row), n)
+			return Solution{}, fmt.Errorf("%w: row %d has %d coefficients, want %d", ErrBadProgram, i, len(row), n)
 		}
 	}
 	t, err := newDenseTableau(c, a, b)
 	if err != nil {
-		return Solution{}, nil, err
+		return Solution{}, err
 	}
 	if t.needsPhaseOne() && t.phaseOne() == Infeasible {
-		return Solution{Status: Infeasible}, t, nil
+		return Solution{Status: Infeasible}, nil
 	}
 	if t.optimize() == Unbounded {
-		return Solution{Status: Unbounded}, t, nil
+		return Solution{Status: Unbounded}, nil
 	}
-	return t.extract(), t, nil
+	return t.extract(), nil
 }
 
 func (t *denseTableau) width() int { return t.n + t.m + 2 }
@@ -206,7 +205,6 @@ func (t *denseTableau) optimize() Status {
 }
 
 func (t *denseTableau) pivot(pr, pc int) {
-	t.pivots++
 	prow := t.cells[pr]
 	t.inv.Inv(&prow[pc])
 	for j := range prow {
@@ -257,7 +255,7 @@ func (t *denseTableau) extract() Solution {
 // tableau: transpose when the row side is the larger, shift every
 // payoff to >= 1, and solve max Σu s.t. M'u <= 1 with explicit
 // big.Rat matrices.
-func solveZeroSumDense(m [][]*big.Rat) (GameSolution, *denseTableau, error) {
+func solveZeroSumDense(m [][]*big.Rat) (GameSolution, error) {
 	rows, cols := len(m), len(m[0])
 	if rows > cols {
 		nt := make([][]*big.Rat, cols)
@@ -267,11 +265,11 @@ func solveZeroSumDense(m [][]*big.Rat) (GameSolution, *denseTableau, error) {
 				nt[j][i] = new(big.Rat).Neg(m[i][j])
 			}
 		}
-		gs, t, err := solveZeroSumDense(nt)
+		gs, err := solveZeroSumDense(nt)
 		if err != nil {
-			return GameSolution{}, nil, err
+			return GameSolution{}, err
 		}
-		return GameSolution{Value: new(big.Rat).Neg(gs.Value), Row: gs.Col, Col: gs.Row}, t, nil
+		return GameSolution{Value: new(big.Rat).Neg(gs.Value), Row: gs.Col, Col: gs.Row}, nil
 	}
 	shift := new(big.Rat).Set(m[0][0])
 	for _, row := range m {
@@ -297,12 +295,12 @@ func solveZeroSumDense(m [][]*big.Rat) (GameSolution, *denseTableau, error) {
 	for i := range b {
 		b[i] = big.NewRat(1, 1)
 	}
-	sol, t, err := maximizeDense(c, a, b)
+	sol, err := maximizeDense(c, a, b)
 	if err != nil {
-		return GameSolution{}, nil, err
+		return GameSolution{}, err
 	}
 	if sol.Status != Optimal || sol.Value.Sign() <= 0 {
-		return GameSolution{}, nil, fmt.Errorf("lp: dense zero-sum reduction returned %v", sol.Status)
+		return GameSolution{}, fmt.Errorf("lp: dense zero-sum reduction returned %v", sol.Status)
 	}
 	v := new(big.Rat).Inv(sol.Value)
 	col := make([]*big.Rat, cols)
@@ -313,5 +311,5 @@ func solveZeroSumDense(m [][]*big.Rat) (GameSolution, *denseTableau, error) {
 	for i := range row {
 		row[i] = new(big.Rat).Mul(sol.Dual[i], v)
 	}
-	return GameSolution{Value: new(big.Rat).Sub(v, shift), Row: row, Col: col}, t, nil
+	return GameSolution{Value: new(big.Rat).Sub(v, shift), Row: row, Col: col}, nil
 }

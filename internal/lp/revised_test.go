@@ -6,16 +6,18 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
 	"github.com/defender-game/defender/internal/graph"
 )
 
-// The revised simplex must take exactly the pivots of the dense Bland
-// tableau in dense_test.go: same entering and leaving choices, hence the
-// same final basis, status, value, X and duals, on every program.
+// The revised simplex prices by Dantzig's rule with a Bland fallback and
+// the dense tableau in dense_test.go by Bland's rule alone, so the two
+// take different pivots and, where the optimum is not unique, may stop at
+// different optimal vertices. On every program they must agree on the
+// status and the exact value, and the revised solver's answer must carry
+// an exact certificate: primal and dual feasibility and strong duality.
 
 // lpCase is one standard-form program of the differential corpus.
 type lpCase struct {
@@ -108,23 +110,10 @@ func randomProgram(seed int64, withNegative bool) lpCase {
 	return lpCase{fmt.Sprintf("random-%d", seed), c, a, b}
 }
 
-// sameRats reports whether two exact vectors are equal entry by entry.
-func sameRats(x, y []*big.Rat) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if (x[i] == nil) != (y[i] == nil) || (x[i] != nil && x[i].Cmp(y[i]) != 0) {
-			return false
-		}
-	}
-	return true
-}
-
 // diffMaximize runs both engines on one program and reports the first
-// disagreement.
+// disagreement, or a certificate the revised answer fails.
 func diffMaximize(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) error {
-	want, dense, derr := maximizeDense(c, a, b)
+	want, derr := maximizeDense(c, a, b)
 	p, err := newProgram(c, a, b)
 	if (err == nil) != (derr == nil) {
 		return fmt.Errorf("validation: revised %v, dense %v", err, derr)
@@ -132,7 +121,7 @@ func diffMaximize(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) error {
 	if err != nil {
 		return nil
 	}
-	s, err := p.solve(context.Background())
+	s, err := p.solveTwoPhase(context.Background())
 	if err != nil {
 		return err
 	}
@@ -140,16 +129,12 @@ func diffMaximize(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) error {
 	switch {
 	case got.Status != want.Status:
 		return fmt.Errorf("status %v, dense %v", got.Status, want.Status)
-	case s.pivots != dense.pivots:
-		return fmt.Errorf("pivots %d, dense %d", s.pivots, dense.pivots)
-	case !slices.Equal(s.basis, dense.basis):
-		return fmt.Errorf("basis %v, dense %v", s.basis, dense.basis)
-	case !sameRats([]*big.Rat{got.Value}, []*big.Rat{want.Value}):
+	case got.Status != Optimal:
+		return nil
+	case got.Value.Cmp(want.Value) != 0:
 		return fmt.Errorf("value %v, dense %v", got.Value, want.Value)
-	case !sameRats(got.X, want.X):
-		return fmt.Errorf("x %v, dense %v", got.X, want.X)
-	case !sameRats(got.Dual, want.Dual):
-		return fmt.Errorf("dual %v, dense %v", got.Dual, want.Dual)
+	case !checkOptimality(c, a, b, got):
+		return fmt.Errorf("x %v, dual %v: certificate fails", got.X, got.Dual)
 	}
 	return nil
 }
@@ -274,37 +259,20 @@ func gameCorpus() []gameCase {
 }
 
 // diffZeroSum runs both reductions on one payoff matrix and reports the
-// first disagreement.
+// first disagreement, or a minimax certificate the revised answer fails.
 func diffZeroSum(m [][]*big.Rat) error {
-	want, dense, err := solveZeroSumDense(m)
+	want, err := solveZeroSumDense(m)
 	if err != nil {
 		return fmt.Errorf("dense: %w", err)
-	}
-	p, _, err := zeroSumProgram(m)
-	if err != nil {
-		return err
-	}
-	s, err := p.solve(context.Background())
-	if err != nil {
-		return err
 	}
 	got, err := SolveZeroSum(m)
 	if err != nil {
 		return err
 	}
-	switch {
-	case s.pivots != dense.pivots:
-		return fmt.Errorf("pivots %d, dense %d", s.pivots, dense.pivots)
-	case !slices.Equal(s.basis, dense.basis):
-		return fmt.Errorf("basis %v, dense %v", s.basis, dense.basis)
-	case got.Value.Cmp(want.Value) != 0:
+	if got.Value.Cmp(want.Value) != 0 {
 		return fmt.Errorf("value %v, dense %v", got.Value, want.Value)
-	case !sameRats(got.Row, want.Row):
-		return fmt.Errorf("row %v, dense %v", got.Row, want.Row)
-	case !sameRats(got.Col, want.Col):
-		return fmt.Errorf("col %v, dense %v", got.Col, want.Col)
 	}
-	return nil
+	return gameCertificate(m, got)
 }
 
 func TestRevisedMatchesDenseZeroSum(t *testing.T) {
@@ -328,12 +296,157 @@ func TestRevisedMatchesDenseGameLPs(t *testing.T) {
 	}
 }
 
+// trianglesAndEdges is c disjoint triangles plus e disjoint edges. With
+// k = 2 its game has no perfect matching and is not König–Egerváry, so
+// the service answers it by LP, and its degenerate vertices stalled
+// Bland's rule: 285,112 pivots at c = e = 16.
+func trianglesAndEdges(c, e int) *graph.Graph {
+	g := graph.New(3*c + 2*e)
+	for i := 0; i < c; i++ {
+		u := 3 * i
+		g.AddEdge(u, u+1)
+		g.AddEdge(u+1, u+2)
+		g.AddEdge(u, u+2)
+	}
+	for i := 0; i < e; i++ {
+		u := 3*c + 2*i
+		g.AddEdge(u, u+1)
+	}
+	return g
+}
+
+// TestPricingStallGates: game LPs on which Bland's rule stalled must
+// solve within a pivot bound — the measured count with headroom, never a
+// wall-time limit — priced in int64 throughout. 16 triangles + 16 edges
+// (n = 80, 2,016 tuples) took 285,112 Bland pivots and takes 112 now;
+// C49 at k = 3 (18,424 tuples) took 4,502 and takes 141.
+func TestPricingStallGates(t *testing.T) {
+	enableMetrics(t)
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		k      int
+		value  *big.Rat
+		pivots int
+	}{
+		{"16 triangles + 16 edges/k=2", trianglesAndEdges(16, 16), 2, big.NewRat(1, 20), 200},
+		{"C49/k=3", graph.Cycle(49), 3, big.NewRat(6, 49), 250},
+	} {
+		m := coveragePayoff(tc.g, tc.k)
+		pivots, rats := obsSimplexPivots.Value(), obsSimplexRatPricing.Value()
+		gs, err := SolveZeroSum(m)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := obsSimplexPivots.Value() - pivots; d > uint64(tc.pivots) {
+			t.Errorf("%s: %d pivots, bound %d", tc.name, d, tc.pivots)
+		}
+		if obsSimplexRatPricing.Value() != rats {
+			t.Errorf("%s: a ±1 game fell back to rational pricing", tc.name)
+		}
+		if gs.Value.Cmp(tc.value) != 0 {
+			t.Errorf("%s: value %v, want %v", tc.name, gs.Value, tc.value)
+		}
+		if err := gameCertificate(m, gs); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestRatPricingPaths: programs the int64 sweep cannot take must be
+// priced in rationals (lp.simplex.rat_pricing) and still match the dense
+// oracle — non-±1 coefficients as in the weighted-damage game, entries
+// whose denominators pass int64, and ±1 coefficients whose integer costs
+// are too large for the scaled reduced costs to stay in range.
+func TestRatPricingPaths(t *testing.T) {
+	enableMetrics(t)
+	weighted := func(g *graph.Graph, k int, w []*big.Rat) [][]*big.Rat {
+		cover := coveragePayoff(g, k)
+		m := make([][]*big.Rat, g.NumVertices())
+		for v := range m {
+			m[v] = make([]*big.Rat, len(cover))
+			for j, row := range cover {
+				m[v][j] = new(big.Rat)
+				if row[v].Sign() == 0 {
+					m[v][j].Set(w[v])
+				}
+			}
+		}
+		return m
+	}
+	huge := new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(3), 70), new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), 72), big.NewInt(1)))
+	games := map[string][][]*big.Rat{
+		"weighted C5/k=2":     weighted(graph.Cycle(5), 2, []*big.Rat{r(1, 1), r(2, 1), r(3, 2), r(1, 3), r(5, 4)}),
+		"weighted wheel7/k=2": weighted(graph.Wheel(7), 2, []*big.Rat{ri(3), r(1, 2), ri(1), r(2, 3), ri(2), r(7, 5), ri(1)}),
+		"huge denominators": {
+			{huge, new(big.Rat).Neg(huge), r(1, 3)},
+			{new(big.Rat).Mul(huge, r(1, 2)), huge, ri(-1)},
+		},
+	}
+	for name, m := range games {
+		p, _, err := zeroSumProgram(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := obsSimplexRatPricing.Value()
+		s, err := p.solve(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !s.ratPriced || obsSimplexRatPricing.Value()-before != 1 {
+			t.Errorf("%s: priced in int64, want rationals", name)
+		}
+		if err := diffZeroSum(m); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	big61 := new(big.Rat).SetInt64(1 << 61)
+	c := []*big.Rat{big61, new(big.Rat).Sub(big61, ri(1)), ri(3)}
+	a := [][]*big.Rat{rats(1, 1, 0), rats(1, -1, 1), rats(0, 1, 1)}
+	b := rats(4, 2, 3)
+	p, err := newProgram(c, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.intCols || !s.ratPriced {
+		t.Errorf("large costs: intCols %v, ratPriced %v; want a ±1 program priced in rationals", s.intCols, s.ratPriced)
+	}
+	if err := diffMaximize(c, a, b); err != nil {
+		t.Errorf("large costs: %v", err)
+	}
+
+	// scaleY's own bound: y = (−1/4, 1/6, 0) scales to Y = (−3, 2, 0) at
+	// D = 12, but with c_j = 2^61 the term c_j·D passes the limit even
+	// though every Y_i is tiny.
+	for _, tc := range []struct {
+		c  *big.Rat
+		ok bool
+	}{{ri(3), true}, {big61, false}} {
+		p, err := newProgram([]*big.Rat{tc.c}, [][]*big.Rat{rats(1), rats(-1), rats(1)}, rats(1, 1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newSolver(p)
+		s.y[0].SetFrac64(-1, 4)
+		s.y[1].SetFrac64(1, 6)
+		d, ok := s.scaleY()
+		if ok != tc.ok || (ok && (d != 12 || s.yInt[0] != -3 || s.yInt[1] != 2 || s.yInt[2] != 0 || s.sumY != -1)) {
+			t.Errorf("c = %v: scaleY = (%d, %v), Y = %v, ΣY = %d", tc.c, d, ok, s.yInt, s.sumY)
+		}
+	}
+}
+
 // TestSolveZeroSumCtxCancelled: a cancelled context stops the simplex at
-// its next pivot. On C31 at k = 3 (31 rows, 4,495 columns) the solve
-// returns context.Canceled well within a second of the cancel, having
-// taken fewer pivots than the full solve.
+// its next pivot. On 48 triangles + 56 edges at k = 2 (256 rows, 19,900
+// columns, 355 pivots and about half a second uncancelled on 2 cores) the
+// solve returns context.Canceled well within a second of the cancel,
+// having taken fewer pivots than the full solve.
 func TestSolveZeroSumCtxCancelled(t *testing.T) {
-	m := coveragePayoff(graph.Cycle(31), 3)
+	m := coveragePayoff(trianglesAndEdges(48, 56), 2)
 	p, _, err := zeroSumProgram(m)
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +485,8 @@ func TestSolveZeroSumCtxCancelled(t *testing.T) {
 
 // FuzzSimplexVsDense drives both engines on small random rational
 // programs — negative bounds allowed, so phase one, infeasibility and
-// unboundedness all occur — and requires identical outcomes and pivots.
+// unboundedness all occur — and requires the same status and exact value,
+// and an exact certificate for every optimum.
 func FuzzSimplexVsDense(f *testing.F) {
 	f.Add([]byte{2, 2, 3, 5, 1, 0, 0, 2, 3, 2, 4, 12, 18})
 	f.Add([]byte{1, 2, 1, 1, 1, 1, 255, 255, 1, 255})

@@ -6,15 +6,26 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"github.com/defender-game/defender/internal/obs"
 	"github.com/defender-game/defender/internal/rat"
 )
 
 func r(a, b int64) *big.Rat { return big.NewRat(a, b) }
 
 func ri(a int64) *big.Rat { return big.NewRat(a, 1) }
+
+// enableMetrics turns the default registry on for one test, so the
+// simplex counters move, and restores its previous state afterwards.
+func enableMetrics(tb testing.TB) {
+	reg := obs.Default()
+	was := reg.Enabled()
+	reg.SetEnabled(true)
+	tb.Cleanup(func() { reg.SetEnabled(was) })
+}
 
 func maxOptimal(t *testing.T, c []*big.Rat, a [][]*big.Rat, b []*big.Rat) Solution {
 	t.Helper()
@@ -142,6 +153,15 @@ func TestMaximizeValidation(t *testing.T) {
 	}
 	if _, err := Maximize([]*big.Rat{ri(1)}, [][]*big.Rat{{ri(1)}}, []*big.Rat{nil}); !errors.Is(err, ErrBadProgram) {
 		t.Error("nil bound must fail")
+	}
+	// Only this file's phase one takes a negative bound; the production
+	// solve starts from the slack basis and refuses one.
+	p, err := newProgram([]*big.Rat{ri(1)}, [][]*big.Rat{{ri(1)}}, []*big.Rat{ri(-1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.solve(context.Background()); !errors.Is(err, ErrBadProgram) {
+		t.Errorf("negative bound: err = %v, want ErrBadProgram", err)
 	}
 }
 
@@ -305,8 +325,89 @@ func Maximize(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
-	s, err := p.solve(context.Background()) // never cancelled
-	return s.solution(), err
+	s, err := p.solveTwoPhase(context.Background()) // never cancelled
+	if err != nil {
+		return Solution{}, err
+	}
+	return s.solution(), nil
+}
+
+// solveTwoPhase is the production solve when the slack basis is feasible.
+// Otherwise a single-artificial phase one finds a feasible basis first:
+// over [x | a0 | slacks], with a0's column all −1, it pivots a0 into the
+// most-violated row (making β nonnegative) and maximizes −a0. The program
+// is feasible iff a0 ends at zero; a0 is then driven out of the basis,
+// and phase two continues from that basis on p itself.
+func (p *program) solveTwoPhase(ctx context.Context) (*solver, error) {
+	worst := -1
+	for i := range p.b {
+		if p.b[i].Sign() < 0 && (worst == -1 || p.b[i].Cmp(&p.b[worst]) < 0) {
+			worst = i
+		}
+	}
+	if worst == -1 {
+		return p.solve(ctx)
+	}
+	a0 := p.n
+	p1 := &program{
+		m: p.m, n: p.n + 1, colPtr: append(slices.Clone(p.colPtr), len(p.rows)+p.m),
+		rows: slices.Clone(p.rows), vals: slices.Clone(p.vals), c: rat.NewVec(p.n + 1), b: p.b,
+	}
+	for i := 0; i < p.m; i++ {
+		p1.rows = append(p1.rows, i)
+		p1.vals = append(p1.vals, *new(rat.Rat).SetInt64(-1))
+	}
+	p1.c[a0].SetInt64(-1)
+	s := newSolver(p1)
+	s.column(a0)
+	s.pivot(worst, a0)
+	s.loadObjective()
+	// Unbounded cannot happen: the phase-one objective −a0 is <= 0.
+	if _, err := s.optimize(ctx); err != nil {
+		return s, err
+	}
+	for i, v := range s.basis {
+		if v != a0 {
+			continue
+		}
+		if s.row(i)[p.m].Sign() != 0 {
+			s.status = Infeasible
+			return s, nil
+		}
+		// Degenerate: a0 basic at zero. Row i of B⁻¹[A | I] is nonzero
+		// on the slack columns at least, so some column pivots a0 out.
+		for j := 0; j < p1.n+p.m; j++ {
+			if j == a0 {
+				continue
+			}
+			if s.column(j); s.alpha[i].Sign() != 0 {
+				s.pivot(i, j)
+				break
+			}
+		}
+	}
+	// Renumber onto p: the slacks sit one index lower without a0.
+	for i, v := range s.basis {
+		if v > a0 {
+			s.basis[i] = v - 1
+		}
+	}
+	s.setProgram(p)
+	s.loadObjective()
+	var err error
+	s.status, err = s.optimize(ctx)
+	return s, err
+}
+
+// loadObjective recomputes y = d_B·B⁻¹ from scratch for the costs −c.
+func (s *solver) loadObjective() {
+	s.y.Zero()
+	var d rat.Rat
+	for i, v := range s.basis {
+		if v < s.p.n {
+			s.axpy(s.y, d.Neg(&s.p.c[v]), s.row(i)[:s.p.m])
+		}
+	}
 }
 
 // newProgram validates a dense program and reads its nonzeros into
@@ -334,7 +435,15 @@ func newProgram(c []*big.Rat, a [][]*big.Rat, b []*big.Rat) (*program, error) {
 			return nil, fmt.Errorf("%w: nil bound %d", ErrBadProgram, i)
 		}
 	}
-	p := sparseProgram(m, n, func(e *rat.Rat, i, j int) { e.SetBig(a[i][j]) })
-	p.c, p.b = rat.FromBig(c), rat.FromBig(b)
+	p := &program{m: m, n: n, colPtr: make([]int, n+1), c: rat.FromBig(c), b: rat.FromBig(b)}
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			if a[i][j].Sign() != 0 {
+				p.rows = append(p.rows, i)
+				p.vals = append(p.vals, *new(rat.Rat).SetBig(a[i][j]))
+			}
+		}
+		p.colPtr[j+1] = len(p.rows)
+	}
 	return p, nil
 }

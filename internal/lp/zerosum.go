@@ -48,6 +48,9 @@ func SolveZeroSumCtx(ctx context.Context, m [][]*big.Rat) (GameSolution, error) 
 	sp, _ := obs.Default().StartSpanCtx(ctx, "lp.simplex")
 	sp.Annotate("rows", strconv.Itoa(len(m)))
 	defer sp.End()
+	if err := ctx.Err(); err != nil {
+		return GameSolution{}, err
+	}
 	p, transpose, err := zeroSumProgram(m)
 	if err != nil {
 		return GameSolution{}, err
@@ -92,13 +95,21 @@ func zeroSumProgram(m [][]*big.Rat) (*program, bool, error) {
 	if cols == 0 {
 		return nil, false, fmt.Errorf("%w: empty payoff row", ErrBadProgram)
 	}
+	// One pass validates the matrix and counts its nonzeros, so the
+	// sparse columns are sized once.
+	nnz, zeros := 0, false
 	for i, row := range m {
 		if len(row) != cols {
 			return nil, false, fmt.Errorf("%w: ragged payoff matrix at row %d", ErrBadProgram, i)
 		}
 		for j, e := range row {
-			if e == nil {
+			switch {
+			case e == nil:
 				return nil, false, fmt.Errorf("%w: nil payoff at (%d,%d)", ErrBadProgram, i, j)
+			case e.Sign() == 0:
+				zeros = true
+			default:
+				nnz++
 			}
 		}
 	}
@@ -112,20 +123,37 @@ func zeroSumProgram(m [][]*big.Rat) (*program, bool, error) {
 	if transpose {
 		rows, cols = cols, rows
 	}
-	// One pass reads the nonzeros into sparse columns and finds the
+	// The second pass reads the nonzeros into sparse columns and finds the
 	// minimum entry; the shift s = 1 − min makes M + s >= 1 entrywise
-	// without ever materializing the shifted matrix.
+	// without ever materializing the shifted matrix. Zero payoffs, most
+	// cells of a coverage game, are never converted.
+	p := &program{m: rows, n: cols, colPtr: make([]int, cols+1), rows: make([]int, 0, nnz), vals: rat.NewVec(nnz)}
 	var lo rat.Rat
-	p := sparseProgram(rows, cols, func(e *rat.Rat, i, j int) {
-		if transpose {
-			e.Neg(e.SetBig(m[j][i]))
-		} else {
-			e.SetBig(m[i][j])
+	for j := 0; j < cols; j++ {
+		for i := 0; i < rows; i++ {
+			var x *big.Rat
+			if transpose {
+				x = m[j][i]
+			} else {
+				x = m[i][j]
+			}
+			if x.Sign() == 0 {
+				continue
+			}
+			e := &p.vals[len(p.rows)]
+			if e.SetBig(x); transpose {
+				e.Neg(e)
+			}
+			if len(p.rows) == 0 || e.Cmp(&lo) < 0 {
+				lo.Set(e)
+			}
+			p.rows = append(p.rows, i)
 		}
-		if (i == 0 && j == 0) || e.Cmp(&lo) < 0 {
-			lo.Set(e)
-		}
-	})
+		p.colPtr[j+1] = len(p.rows)
+	}
+	if zeros && lo.Sign() > 0 {
+		lo.SetInt64(0)
+	}
 	p.c, p.b = ones(cols), ones(rows)
 	p.shift.SetInt64(1)
 	p.shift.Sub(&p.shift, &lo)

@@ -1,37 +1,47 @@
 package lp
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// checkGameSolution verifies the exact minimax certificates: both
-// strategies are distributions, the row strategy guarantees >= value
-// against every column, and the column strategy caps every row at <= value.
+// checkGameSolution verifies the exact minimax certificates of gs.
 func checkGameSolution(t *testing.T, m [][]*big.Rat, gs GameSolution) {
 	t.Helper()
+	if err := gameCertificate(m, gs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// gameCertificate checks the exact minimax certificates: both strategies
+// are distributions, the row strategy guarantees >= value against every
+// column, and the column strategy caps every row at <= value. These are
+// the LP's primal and dual feasibility, and their meeting at the value is
+// strong duality.
+func gameCertificate(m [][]*big.Rat, gs GameSolution) error {
 	one := big.NewRat(1, 1)
 	sum := new(big.Rat)
 	for _, p := range gs.Row {
 		if p.Sign() < 0 {
-			t.Fatalf("negative row probability %v", p)
+			return fmt.Errorf("negative row probability %v", p)
 		}
 		sum.Add(sum, p)
 	}
 	if sum.Cmp(one) != 0 {
-		t.Fatalf("row strategy sums to %v", sum)
+		return fmt.Errorf("row strategy sums to %v", sum)
 	}
 	sum.SetInt64(0)
 	for _, p := range gs.Col {
 		if p.Sign() < 0 {
-			t.Fatalf("negative col probability %v", p)
+			return fmt.Errorf("negative col probability %v", p)
 		}
 		sum.Add(sum, p)
 	}
 	if sum.Cmp(one) != 0 {
-		t.Fatalf("col strategy sums to %v", sum)
+		return fmt.Errorf("col strategy sums to %v", sum)
 	}
 	// Row guarantee: for every column j, Σ_i row_i·m[i][j] >= value.
 	for j := range m[0] {
@@ -40,7 +50,7 @@ func checkGameSolution(t *testing.T, m [][]*big.Rat, gs GameSolution) {
 			payoff.Add(payoff, new(big.Rat).Mul(gs.Row[i], m[i][j]))
 		}
 		if payoff.Cmp(gs.Value) < 0 {
-			t.Fatalf("column %d beats the row guarantee: %v < %v", j, payoff, gs.Value)
+			return fmt.Errorf("column %d beats the row guarantee: %v < %v", j, payoff, gs.Value)
 		}
 	}
 	// Column cap: for every row i, Σ_j m[i][j]·col_j <= value.
@@ -50,9 +60,10 @@ func checkGameSolution(t *testing.T, m [][]*big.Rat, gs GameSolution) {
 			payoff.Add(payoff, new(big.Rat).Mul(m[i][j], gs.Col[j]))
 		}
 		if payoff.Cmp(gs.Value) > 0 {
-			t.Fatalf("row %d beats the column cap: %v > %v", i, payoff, gs.Value)
+			return fmt.Errorf("row %d beats the column cap: %v > %v", i, payoff, gs.Value)
 		}
 	}
+	return nil
 }
 
 func matrix(rows ...[]int64) [][]*big.Rat {

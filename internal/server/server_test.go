@@ -793,20 +793,37 @@ func TestSolveComputesOneMatching(t *testing.T) {
 	}
 }
 
+// trianglesAndEdgesBody is the solve request for c disjoint triangles
+// plus e disjoint edges at k = 2. The graph has no perfect matching and is
+// not König–Egerváry, so it is answered by the lp-minimax family.
+func trianglesAndEdgesBody(c, e int, extra string) string {
+	parts := make([]string, 0, 3*c+e)
+	for i := 0; i < c; i++ {
+		u := 3 * i
+		parts = append(parts, fmt.Sprintf("[%d,%d],[%d,%d],[%d,%d]", u, u+1, u+1, u+2, u, u+2))
+	}
+	for i := 0; i < e; i++ {
+		u := 3*c + 2*i
+		parts = append(parts, fmt.Sprintf("[%d,%d]", u, u+1))
+	}
+	return fmt.Sprintf(`{"n":%d,"edges":[%s],"k":2%s}`, 3*c+2*e, strings.Join(parts, ","), extra)
+}
+
 // TestLPMinimaxDeadlineFreesWorker: the simplex observes the request's
 // deadline, so an lp-minimax solve that outlives it returns 504 at its
 // next pivot instead of running to completion on the broker's only
-// worker. C41 at k=3 (10,660 tuples) takes 2,465 pivots and over a
-// second to solve; the expired request must return within a second of
-// its 50 ms deadline, having taken fewer pivots, and the worker must then
-// serve the next request.
+// worker. 48 triangles + 56 edges (n = 256, m = 200, 19,900 tuples, at
+// both server caps) takes 355 pivots and over half a second to solve on
+// 2 cores; the expired request must return within a second of its 50 ms
+// deadline, having taken fewer pivots, and the worker must then serve
+// the next request.
 func TestLPMinimaxDeadlineFreesWorker(t *testing.T) {
-	s := newTestServer(t, func(c *Config) { c.Workers = 1 })
-	const fullPivots = 2465
+	s := newTestServer(t, func(c *Config) { c.Workers, c.MaxVertices = 1, 256 })
+	const fullPivots = 355
 	var w *httptest.ResponseRecorder
 	start := time.Now()
 	d := counterDelta([]string{"lp.simplex.pivots", "broker.cancelled"}, func() {
-		w = do(s, http.MethodPost, "/v1/solve", cycleBody(41, 3, `,"timeout_ms":50`))
+		w = do(s, http.MethodPost, "/v1/solve", trianglesAndEdgesBody(48, 56, `,"timeout_ms":50`))
 	})
 	elapsed := time.Since(start)
 	if w.Code != http.StatusGatewayTimeout {
