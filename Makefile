@@ -1,6 +1,6 @@
 # Development targets. CI (.github/workflows/ci.yml) runs the same gate:
 # build, vet, defenderlint, race tests, and a fuzz smoke of every native
-# fuzz target (nine of them, see fuzz-smoke).
+# fuzz target (ten of them, see fuzz-smoke).
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -71,9 +71,9 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff -min-samples 2 -min-wall-ms 1 -history bench/history
 
 # fuzz-smoke gives each native fuzz target a short budget; crashes fail
-# the target and land a reproducer under testdata/fuzz. The graph package
-# holds two targets (edge-list parser and graph6 round-trip), so the
-# -fuzz patterns are anchored.
+# the target and land a reproducer under testdata/fuzz. The graph and
+# server packages hold several targets each, so the -fuzz patterns are
+# anchored.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzParseGraph6$$' -fuzztime=$(FUZZTIME) ./internal/graph
@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRatVsBigRat$$' -fuzztime=$(FUZZTIME) ./internal/rat
 	$(GO) test -run='^$$' -fuzz='^FuzzSimplexVsDense$$' -fuzztime=$(FUZZTIME) ./internal/lp
 	$(GO) test -run='^$$' -fuzz='^FuzzServeSolve$$' -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzIndentMatchesStd$$' -fuzztime=$(FUZZTIME) ./internal/server
 
 # trace-smoke proves the tracing pipeline end-to-end (TRACING.md): boot
 # defenderd with full sampling, a trace sink and a request log, drive it

@@ -69,12 +69,12 @@ func hamiltonianPath(g *graph.Graph) (bool, []int, error) {
 			if mask&(1<<uint(v)) == 0 || parent[mask*n+v] == -1 {
 				continue
 			}
-			g.EachNeighbor(v, func(u int) {
+			for _, u := range g.Neighbors(v) {
 				next := mask | 1<<uint(u)
 				if next != mask && parent[next*n+u] == -1 {
 					parent[next*n+u] = int8(v)
 				}
-			})
+			}
 		}
 	}
 	full := size - 1

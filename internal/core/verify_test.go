@@ -172,7 +172,9 @@ func greedyIS(g *graph.Graph) []int {
 			continue
 		}
 		is = append(is, v)
-		g.EachNeighbor(v, func(u int) { blocked[u] = true })
+		for _, u := range g.Neighbors(v) {
+			blocked[u] = true
+		}
 	}
 	return is
 }

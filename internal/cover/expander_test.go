@@ -156,11 +156,11 @@ func TestPropertyViolatorCertificates(t *testing.T) {
 		}
 		nbrs := make(map[int]bool)
 		for _, v := range violator {
-			g.EachNeighbor(v, func(u int) {
+			for _, u := range g.Neighbors(v) {
 				if member[u] {
 					nbrs[u] = true
 				}
-			})
+			}
 		}
 		return len(nbrs) < len(violator)
 	}
@@ -214,12 +214,12 @@ func expanderBruteForce(g *graph.Graph, s []int, restrict []bool) (bool, []int, 
 		count := 0
 		for m := mask; m != 0; m &= m - 1 {
 			v := s[bits.TrailingZeros(uint(m))]
-			g.EachNeighbor(v, func(u int) {
+			for _, u := range g.Neighbors(v) {
 				if seen[u] != mask && (restrict == nil || restrict[u]) {
 					seen[u] = mask
 					count++
 				}
-			})
+			}
 		}
 		if count < bits.OnesCount(uint(mask)) {
 			var violator []int

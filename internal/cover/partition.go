@@ -133,8 +133,9 @@ func partitionFromMatching(g *graph.Graph, mate []int) (Partition, error) {
 	imp := make([][]int, 2*n) // literal 2v is "v ∈ C", 2v+1 "v ∉ C"
 	for v := 0; v < n; v++ {
 		// C covers every edge, so v ∉ C puts each neighbor in C.
-		imp[2*v+1] = g.Neighbors(v)
-		for i, u := range imp[2*v+1] {
+		nbrs := g.Neighbors(v)
+		imp[2*v+1] = make([]int, len(nbrs))
+		for i, u := range nbrs {
 			imp[2*v+1][i] = 2 * u
 		}
 		// One endpoint per matching edge: v ∈ C puts its mate out of C,
@@ -215,7 +216,9 @@ func enumerateMaximalIndependentSets(g *graph.Graph, visit func(is []int) bool) 
 	nonAdj := make([]uint64, n)
 	for v := 0; v < n; v++ {
 		mask := full &^ (1 << uint(v))
-		g.EachNeighbor(v, func(u int) { mask &^= 1 << uint(u) })
+		for _, u := range g.Neighbors(v) {
+			mask &^= 1 << uint(u)
+		}
 		nonAdj[v] = mask
 	}
 

@@ -483,11 +483,11 @@ func bruteForceMaximalISCount(g *graph.Graph) int {
 				continue
 			}
 			ok := true
-			g.EachNeighbor(v, func(u int) {
+			for _, u := range g.Neighbors(v) {
 				if member[u] {
 					ok = false
 				}
-			})
+			}
 			if ok {
 				maximal = false
 			}

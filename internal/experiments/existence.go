@@ -234,7 +234,9 @@ func greedyIndependentSet(g *graph.Graph, order []int) []int {
 		}
 		is = append(is, v)
 		blocked[v] = true
-		g.EachNeighbor(v, func(u int) { blocked[u] = true })
+		for _, u := range g.Neighbors(v) {
+			blocked[u] = true
+		}
 	}
 	sort.Ints(is)
 	return is

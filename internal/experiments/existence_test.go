@@ -46,7 +46,9 @@ func TestGreedyIndependentSet(t *testing.T) {
 	}
 	for v := 0; v < g.NumVertices(); v++ {
 		adjacent := member[v]
-		g.EachNeighbor(v, func(u int) { adjacent = adjacent || member[u] })
+		for _, u := range g.Neighbors(v) {
+			adjacent = adjacent || member[u]
+		}
 		if !adjacent {
 			t.Fatalf("vertex %d could extend the greedy IS %v", v, is)
 		}

@@ -2,6 +2,7 @@ package game
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"slices"
 	"sort"
@@ -196,6 +197,17 @@ func (s TupleStrategy) Prob(t Tuple) *big.Rat {
 	return new(big.Rat)
 }
 
+// ProbRat is Prob without the allocation: the probability of tuple t
+// (zero outside the support) as a value copy, which cannot alias the
+// strategy.
+func (s TupleStrategy) ProbRat(t Tuple) rat.Rat {
+	var p rat.Rat
+	if i, ok := slices.BinarySearchFunc(s.tuples, t, compareTuple); ok {
+		p.Set(&s.probs[i])
+	}
+	return p
+}
+
 // SupportEdges returns E(D(tp)): the sorted distinct edge indices appearing
 // in some support tuple. O(total tuple size + largest index), no sort.
 func (s TupleStrategy) SupportEdges() []int {
@@ -311,12 +323,35 @@ func (gm *Game) VertexLoads(mp MixedProfile) []*big.Rat {
 // vertexLoadsVec accumulates the loads on the small-rational fast path:
 // one vector allocation, no per-entry heap arithmetic while the values
 // fit int64 (they are sums of probabilities, so they almost always do).
+// A run of c attackers sharing one strategy, as NewSymmetricProfile
+// builds, adds c·P(v) once instead of P(v) c times.
 func (gm *Game) vertexLoadsVec(mp MixedProfile) rat.Vec {
 	loads := rat.NewVec(gm.g.NumVertices())
-	for _, s := range mp.VP {
-		for i, v := range s.support {
-			loads[v].Add(&loads[v], &s.probs[i])
+	var c, term rat.Rat
+	for i := 0; i < len(mp.VP); {
+		s := mp.VP[i]
+		j := i + 1
+		for j < len(mp.VP) && mp.VP[j].shares(s) {
+			j++
 		}
+		c.SetInt64(int64(j - i))
+		for k, v := range s.support {
+			p := &s.probs[k]
+			if j-i > 1 {
+				// A uniform strategy repeats one probability: multiply
+				// only when it changes.
+				if k == 0 || s.probs[k] != s.probs[k-1] {
+					term.Mul(&c, p)
+				}
+				p = &term
+			}
+			if loads[v].Sign() == 0 {
+				loads[v].Set(p)
+			} else {
+				loads[v].Add(&loads[v], p)
+			}
+		}
+		i = j
 	}
 	return loads
 }
@@ -374,9 +409,15 @@ func (gm *Game) expectedProfitVPWithHit(mp MixedProfile, i int, hit []*big.Rat) 
 }
 
 // ExpectedProfitTP evaluates equation (2): the defender's expected profit,
-// Σ_t P(t) · m(t).
+// Σ_t P(t) · m(t). A defender who plays every support tuple with one
+// probability, as both structured families do, is summed as exact
+// integers (uniformProfitTP); any other profile, or an overflow there,
+// is summed in rat arithmetic.
 func (gm *Game) ExpectedProfitTP(mp MixedProfile) *big.Rat {
 	loads := gm.vertexLoadsVec(mp)
+	if gain, ok := gm.uniformProfitTP(mp.TP, loads); ok {
+		return gain
+	}
 	var sum, tl, contrib rat.Rat
 	var vs []int
 	for i, t := range mp.TP.tuples {
@@ -389,4 +430,83 @@ func (gm *Game) ExpectedProfitTP(mp MixedProfile) *big.Rat {
 		sum.Add(&sum, &contrib)
 	}
 	return sum.Big()
+}
+
+// uniformProfitTP is ExpectedProfitTP for a defender who plays every
+// support tuple with the same probability p. With D the lcm of the load
+// denominators, Σ_t p·m(t) = p·(Σ_t Σ_{v∈V(t)} D·m(v))/D: one int64 sum
+// over the tuples and one multiplication. ok is false when the tuple
+// probabilities differ, a value has been promoted past int64 or is
+// negative, or D, a scaled load or the sum would overflow int64.
+func (gm *Game) uniformProfitTP(tp TupleStrategy, loads rat.Vec) (*big.Rat, bool) {
+	if len(tp.probs) == 0 {
+		return nil, false
+	}
+	pn, pd, ok := tp.probs[0].Frac64()
+	if !ok {
+		return nil, false
+	}
+	for i := range tp.probs {
+		if n, d, ok := tp.probs[i].Frac64(); !ok || n != pn || d != pd {
+			return nil, false
+		}
+	}
+	lcm := int64(1)
+	for i := range loads {
+		n, d, ok := loads[i].Frac64()
+		if !ok || n < 0 {
+			return nil, false
+		}
+		if lcm%d == 0 {
+			continue
+		}
+		if lcm, ok = mulNonNeg(lcm/gcdPos(lcm, d), d); !ok {
+			return nil, false
+		}
+	}
+	scaled := make([]int64, len(loads))
+	for i := range loads {
+		n, d, _ := loads[i].Frac64()
+		if scaled[i], ok = mulNonNeg(n, lcm/d); !ok {
+			return nil, false
+		}
+	}
+	// seen[v] == i+1 marks v as already counted in V(tuples[i]): an
+	// endpoint shared by two of a tuple's edges is loaded once.
+	seen := make([]int, len(loads))
+	var sum int64
+	for i, t := range tp.tuples {
+		for _, id := range t.ids {
+			e := gm.g.EdgeByID(id)
+			for _, v := range [2]int{e.U, e.V} {
+				if seen[v] == i+1 {
+					continue
+				}
+				seen[v] = i + 1
+				if sum += scaled[v]; sum < 0 {
+					return nil, false
+				}
+			}
+		}
+	}
+	var gain, p rat.Rat
+	gain.SetFrac64(sum, lcm)
+	p.SetFrac64(pn, pd)
+	return gain.Mul(&gain, &p).Big(), true
+}
+
+// mulNonNeg returns a·b for a, b >= 0 and whether it fits int64.
+func mulNonNeg(a, b int64) (int64, bool) {
+	if a != 0 && b > math.MaxInt64/a {
+		return 0, false
+	}
+	return a * b, true
+}
+
+// gcdPos returns gcd(a, b) for a, b >= 1.
+func gcdPos(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }

@@ -158,27 +158,16 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Neighbors returns a copy of the (sorted) adjacency list of v. O(d);
-// allocates the copy — use EachNeighbor on hot paths.
+// Neighbors returns the sorted adjacency list of v, or nil if v is out
+// of range. The slice is g's own storage, shared and read-only: callers
+// must not write to it, and an AddEdge at v may shift its contents. Its
+// capacity is capped at its length, so an append copies instead of
+// clobbering the graph. O(1), does not allocate.
 func (g *Graph) Neighbors(v int) []int {
 	if v < 0 || v >= g.n {
 		return nil
 	}
-	out := make([]int, len(g.adj[v]))
-	copy(out, g.adj[v])
-	return out
-}
-
-// EachNeighbor calls fn for every neighbor of v in ascending order.
-// It avoids the copy made by Neighbors on hot paths. O(d), does not
-// allocate (the closure may).
-func (g *Graph) EachNeighbor(v int, fn func(u int)) {
-	if v < 0 || v >= g.n {
-		return
-	}
-	for _, u := range g.adj[v] {
-		fn(u)
-	}
+	return g.adj[v][:len(g.adj[v]):len(g.adj[v])]
 }
 
 // Degree returns the degree of v, or 0 if v is out of range.

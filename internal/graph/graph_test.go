@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -120,14 +121,25 @@ func TestEdgeIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEachNeighborMatchesNeighbors(t *testing.T) {
+// TestNeighborsSharesAdjacency: Neighbors hands out the adjacency
+// without copying it, and an append to the view cannot reach the graph.
+func TestNeighborsSharesAdjacency(t *testing.T) {
 	g := RandomGNP(20, 0.3, 42)
+	if allocs := testing.AllocsPerRun(10, func() { _ = g.Neighbors(3) }); allocs != 0 {
+		t.Errorf("Neighbors allocates %.0f times, want 0", allocs)
+	}
 	for v := 0; v < g.NumVertices(); v++ {
-		var collected []int
-		g.EachNeighbor(v, func(u int) { collected = append(collected, u) })
-		if !reflect.DeepEqual(collected, g.Neighbors(v)) && !(len(collected) == 0 && len(g.Neighbors(v)) == 0) {
-			t.Fatalf("EachNeighbor(%d) = %v, Neighbors = %v", v, collected, g.Neighbors(v))
+		before := slices.Clone(g.Neighbors(v))
+		_ = append(g.Neighbors(v), -1)
+		if got := g.Neighbors(v); !slices.Equal(got, before) {
+			t.Fatalf("an append to Neighbors(%d) changed the graph: %v, was %v", v, got, before)
 		}
+		if !slices.IsSorted(before) {
+			t.Fatalf("Neighbors(%d) = %v, not sorted", v, before)
+		}
+	}
+	if g.Neighbors(-1) != nil || g.Neighbors(g.NumVertices()) != nil {
+		t.Error("Neighbors of an out-of-range vertex is not nil")
 	}
 }
 

@@ -28,12 +28,12 @@ func KonigVertexCover(g *graph.Graph, side []int, mate []int) []int {
 		v := queue[head]
 		if side[v] == 0 {
 			// Leave the left side via non-matching edges.
-			g.EachNeighbor(v, func(u int) {
+			for _, u := range g.Neighbors(v) {
 				if mate[v] != u && !reached[u] {
 					reached[u] = true
 					queue = append(queue, u)
 				}
-			})
+			}
 		} else if w := mate[v]; w != Unmatched && !reached[w] {
 			// Return to the left side via the matching edge.
 			reached[w] = true

@@ -22,7 +22,9 @@ import (
 // which decides the literal S-expander definition of the paper's Section 2.
 //
 // The implementation is Kuhn's augmenting-path algorithm, O(|s| * m); it
-// allocates the assignment map and O(n) search scratch. Note
+// allocates the assignment map and O(n) search scratch. It walks g's
+// adjacency in place, and a search marks the vertices it reaches with its
+// own stamp, so no step copies a list or clears an array. Note
 // that a vertex of s may itself serve as a representative of another vertex
 // of s (the left and right sides of the auxiliary bipartite structure are
 // disjoint copies), which is exactly what the literal definition asks for.
@@ -34,17 +36,18 @@ func Representatives(g *graph.Graph, s []int, allowed func(int) bool) (map[int]i
 	for i := range owner {
 		owner[i] = Unmatched
 	}
-	visited := make([]bool, n) // right-side vertices seen in current search
-
-	permitted := func(v int) bool { return allowed == nil || allowed(v) }
+	// seen[u] == stamp marks right-side vertices reached by the current
+	// search; search i uses stamp i+1, so the zero value marks nothing.
+	seen := make([]int, n)
+	stamp := 0
 
 	var tryAssign func(i int) bool
 	tryAssign = func(i int) bool {
 		for _, u := range g.Neighbors(s[i]) {
-			if visited[u] || !permitted(u) {
+			if seen[u] == stamp || (allowed != nil && !allowed(u)) {
 				continue
 			}
-			visited[u] = true
+			seen[u] = stamp
 			if owner[u] == Unmatched || tryAssign(owner[u]) {
 				owner[u] = i
 				return true
@@ -54,18 +57,16 @@ func Representatives(g *graph.Graph, s []int, allowed func(int) bool) (map[int]i
 	}
 
 	for i := range s {
-		for j := range visited {
-			visited[j] = false
-		}
+		stamp = i + 1
 		if tryAssign(i) {
 			continue
 		}
 		// Hall violator: s[i] plus the owners of every right vertex the
-		// failed search reached. All their permitted neighbors are visited
+		// failed search reached. All their permitted neighbors are reached
 		// and matched within the violator minus s[i].
 		violator := []int{s[i]}
 		for u := 0; u < n; u++ {
-			if visited[u] && owner[u] != Unmatched {
+			if seen[u] == stamp && owner[u] != Unmatched {
 				violator = append(violator, s[owner[u]])
 			}
 		}

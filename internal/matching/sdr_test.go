@@ -43,11 +43,11 @@ func checkViolator(t *testing.T, g *graph.Graph, violator []int, allowed func(in
 	}
 	nbrs := make(map[int]bool)
 	for _, v := range violator {
-		g.EachNeighbor(v, func(u int) {
+		for _, u := range g.Neighbors(v) {
 			if allowed == nil || allowed(u) {
 				nbrs[u] = true
 			}
-		})
+		}
 	}
 	if len(nbrs) >= len(violator) {
 		t.Fatalf("violator %v has %d permitted neighbors — not a violation", violator, len(nbrs))
@@ -148,7 +148,9 @@ func TestPropertyRepresentativesSoundAndComplete(t *testing.T) {
 		// Check the violator certificate.
 		nbrs := make(map[int]bool)
 		for _, v := range violator {
-			g.EachNeighbor(v, func(u int) { nbrs[u] = true })
+			for _, u := range g.Neighbors(v) {
+				nbrs[u] = true
+			}
 		}
 		return len(nbrs) < len(violator)
 	}

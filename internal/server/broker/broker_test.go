@@ -115,33 +115,38 @@ func TestBrokerConcurrentSubmit(t *testing.T) {
 // Submit rejects immediately with ErrQueueFull and hands out no channel.
 func TestBrokerQueueFull(t *testing.T) {
 	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
 	b := New(1, 2)
 	defer b.Shutdown(context.Background())
+	// Deferred after Shutdown, so it runs first: a failed assertion
+	// cannot leave the worker wedged under Shutdown.
+	defer unblock()
 	block := func(context.Context) (any, error) { <-release; return nil, nil }
 
-	var chans []<-chan Result
-	// One task wedges the worker; two more fill the queue. The worker
-	// dequeues asynchronously, so allow for one extra slot opening up.
-	deadline := time.After(5 * time.Second)
-	for len(chans) < 4 {
+	// One task wedges the worker. Waiting until it runs makes the queue's
+	// free capacity exact: two more submissions fill it.
+	started := make(chan struct{})
+	wedge, err := b.Submit(context.Background(), func(context.Context) (any, error) {
+		close(started)
+		<-release
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	<-started
+	chans := []<-chan Result{wedge}
+	for i := 0; i < 2; i++ {
 		ch, err := b.Submit(context.Background(), block)
-		if errors.Is(err, ErrQueueFull) {
-			break
-		}
 		if err != nil {
-			t.Fatalf("submit: %v", err)
+			t.Fatalf("submit %d into a free queue of 2: %v", i, err)
 		}
 		chans = append(chans, ch)
-		select {
-		case <-deadline:
-			t.Fatal("queue never filled")
-		default:
-		}
 	}
 	if _, err := b.Submit(context.Background(), block); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
-	close(release)
+	unblock()
 	for _, ch := range chans {
 		if res := <-ch; res.Err != nil {
 			t.Errorf("wedged task resolved with error: %v", res.Err)

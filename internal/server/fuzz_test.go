@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -144,4 +145,60 @@ func FuzzServeSolve(f *testing.F) {
 func maskVolatile(body string) string {
 	body = solveMSRe.ReplaceAllString(body, `${1}0`)
 	return strings.Replace(body, `"cached": true`, `"cached": false`, 1)
+}
+
+// FuzzIndentMatchesStd: appendIndent, which trusts its input, writes the
+// bytes json.Indent writes for anything json.Marshal produces. Each input
+// is checked twice: as a SolveResult built from the fuzzed strings and
+// numbers (escaped and \u-encoded strings, nil and empty fields, nested
+// tuple lists), and as raw, when raw is JSON, decoded into an arbitrary
+// value and marshaled again, which reaches {}, deep nesting and every
+// scalar the encoder writes.
+func FuzzIndentMatchesStd(f *testing.F) {
+	f.Add([]byte(`{"a":{"b":[{},[],null,true,-1.5e-7," "]}}`), "IsP@PGXD_", "k-matching", 10, 5, uint8(3), false)
+	f.Add([]byte(`[[[[[[[[[[]]]]]]]]]]`), `a\b"c<d>&e`, "tab\there\x00\x7f", 256, 8, uint8(0), true)
+	f.Add([]byte(`"x\"y\\z"`), "\xff\xfe invalid utf-8", "  ", 0, -1, uint8(255), false)
+	f.Add([]byte(`{}`), "", "", 1, 1, uint8(1), true)
+	f.Add([]byte(`not json`), "~?~~~", "1/3", 3, 2, uint8(7), false)
+
+	check := func(t *testing.T, v any, prefix, indent string) {
+		src, err := json.Marshal(v)
+		if err != nil {
+			return // a value the encoder refuses never reaches the indenter
+		}
+		var want bytes.Buffer
+		if err := json.Indent(&want, src, prefix, indent); err != nil {
+			t.Fatalf("json.Indent refused json.Marshal output %q: %v", src, err)
+		}
+		got := appendIndent([]byte("head"), src, prefix, indent)
+		if string(got[:4]) != "head" || !bytes.Equal(got[4:], want.Bytes()) {
+			t.Fatalf("appendIndent(%q):\ngot:  %q\nwant: %q", src, got, "head"+want.String())
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte, g6, note string, n, k int, tuples uint8, nilNE bool) {
+		res := &SolveResult{Graph6: g6, N: n, M: 2 * n, K: k, Attackers: 1 + int(tuples%4),
+			Rho: n / 2, PureNE: k >= n/2, GameValue: note}
+		if !nilNE {
+			ne := &MixedNE{Family: note, VPSupport: []int{}, EdgeSupport: [][2]int{},
+				TupleCount: int(tuples), DefenderGain: g6 + "/" + note}
+			for i := 0; i < int(tuples%8); i++ {
+				ne.VPSupport = append(ne.VPSupport, i*n)
+				ne.EdgeSupport = append(ne.EdgeSupport, [2]int{i, -n})
+				ne.Tuples = append(ne.Tuples, [][2]int{{i, k}, {k, i}})
+				ne.TupleProbs = append(ne.TupleProbs, note)
+			}
+			res.MixedNE = ne
+		}
+		if note != "" {
+			res.Notes = []string{note, g6}
+		}
+		check(t, res, "  ", "  ")
+
+		var v any
+		if json.Unmarshal(raw, &v) == nil {
+			check(t, v, "  ", "  ")
+			check(t, v, "", "\t")
+		}
+	})
 }

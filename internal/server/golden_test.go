@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -97,6 +98,61 @@ func TestGoldenContract(t *testing.T) {
 					path, got, want)
 			}
 		})
+	}
+}
+
+// TestGoldenGainClosedForm: every k-matching and perfect-matching answer
+// in the committed transcripts reports the closed-form defender gain.
+// For a k-matching that is equation (12), k·ν/|D(VP)|, and since each
+// support vertex lies on exactly one support edge, |D(VP)| = |E(D(tp))|.
+// A perfect-matching answer supports all n vertices on n/2 edges, so
+// its gain is k·ν/|E(D(tp))| = 2kν/n: ν times Claim 4.3's hit
+// probability. The server computes the gain as Σ_t P(t)·m(t) from the
+// profile, so this compares two independent derivations.
+func TestGoldenGainClosedForm(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "golden", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, exchange := range strings.Split(string(raw), "\n### ") {
+			// The body follows the last "<<< " status or header line.
+			i := strings.LastIndex(exchange, "\n<<< ")
+			if i < 0 {
+				continue
+			}
+			_, body, _ := strings.Cut(exchange[i+1:], "\n")
+			var resp struct{ Result *SolveResult }
+			if json.Unmarshal([]byte(body), &resp) != nil || resp.Result == nil || resp.Result.MixedNE == nil {
+				continue
+			}
+			res, ne := resp.Result, resp.Result.MixedNE
+			if ne.Family != "k-matching" && ne.Family != "perfect-matching" {
+				continue
+			}
+			support := len(ne.EdgeSupport)
+			if ne.Family == "k-matching" {
+				if len(ne.VPSupport) != support {
+					t.Errorf("%s: k-matching answer for %s: |D(VP)| = %d, |E(D(tp))| = %d",
+						path, res.Graph6, len(ne.VPSupport), support)
+				}
+				support = len(ne.VPSupport)
+			}
+			want := big.NewRat(int64(res.K*res.Attackers), int64(support))
+			if got, ok := new(big.Rat).SetString(ne.DefenderGain); !ok || got.Cmp(want) != 0 {
+				t.Errorf("%s: %s answer for %s, k=%d, ν=%d: defender_gain %q, want %s",
+					path, ne.Family, res.Graph6, res.K, res.Attackers, ne.DefenderGain, want.RatString())
+			}
+			checked++
+		}
+	}
+	if checked < 4 {
+		t.Errorf("checked %d structured answers, want the 4 the transcripts hold", checked)
 	}
 }
 

@@ -9,12 +9,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/defender-game/defender/internal/core"
 	"github.com/defender-game/defender/internal/graph"
+	"github.com/defender-game/defender/internal/matching"
 	"github.com/defender-game/defender/internal/obs"
 )
 
@@ -966,5 +969,42 @@ func TestCachedResponseMatchesFreshSolve(t *testing.T) {
 				t.Errorf("body solved again after an eviction differs from the cached one:\nagain:  %s\ncached: %s", resolved, hit)
 			}
 		})
+	}
+}
+
+// TestRenderMixedNEMatchesProfile: the rendered tuples and their
+// probabilities are those of the equilibrium's profile, tuple by tuple,
+// for every family, including lp-minimax strategies whose tuples carry
+// different probabilities.
+func TestRenderMixedNEMatchesProfile(t *testing.T) {
+	// The wheel's LP strategy weights rim and spoke tuples differently.
+	cases := append(slices.Clone(oneMatchingCases), familyCase{"wheel5", graph.Wheel(5), 1, "lp-minimax"})
+	mixed := 0
+	for _, tc := range cases {
+		ne, family, err := core.SolveAnyFromMatchingCtx(context.Background(), tc.g, matching.Maximum(tc.g), 2, tc.k)
+		if err != nil || family != tc.family {
+			t.Fatalf("%s: family %q, err %v; want %s", tc.name, family, err, tc.family)
+		}
+		m := renderMixedNE(tc.g, ne, family, &SolveResult{})
+		if len(m.Tuples) != len(ne.Tuples) || len(m.TupleProbs) != len(ne.Tuples) {
+			t.Fatalf("%s: rendered %d tuples and %d probabilities for %d support tuples",
+				tc.name, len(m.Tuples), len(m.TupleProbs), len(ne.Tuples))
+		}
+		distinct := map[string]bool{}
+		for i, tp := range ne.Tuples {
+			if want := renderEdges(tp.Edges(tc.g)); !slices.Equal(m.Tuples[i], want) {
+				t.Errorf("%s: tuple %d rendered %v, want %v", tc.name, i, m.Tuples[i], want)
+			}
+			if want := ne.Profile.TP.Prob(tp).RatString(); m.TupleProbs[i] != want {
+				t.Errorf("%s: tuple %d probability %q, want %q", tc.name, i, m.TupleProbs[i], want)
+			}
+			distinct[m.TupleProbs[i]] = true
+		}
+		if len(distinct) > 1 {
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		t.Error("no case rendered a strategy with two different tuple probabilities")
 	}
 }

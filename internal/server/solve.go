@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +14,7 @@ import (
 	"github.com/defender-game/defender/internal/game"
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/matching"
+	"github.com/defender-game/defender/internal/rat"
 )
 
 // maxRenderedTuples caps the defender-support enumeration included in a
@@ -221,9 +221,28 @@ func renderMixedNE(g *graph.Graph, ne core.TupleEquilibrium, family string, res 
 	if len(ne.Tuples) <= maxRenderedTuples {
 		m.Tuples = make([][][2]int, len(ne.Tuples))
 		m.TupleProbs = make([]string, len(ne.Tuples))
+		// Every support tuple has k edges: one backing array holds them
+		// all. Each distinct probability is formatted once; a uniform
+		// strategy has one.
+		k := ne.Game.K()
+		cells := make([][2]int, k*len(ne.Tuples))
+		formatted := make(map[rat.Rat]string, 1)
+		var ids []int
 		for i, t := range ne.Tuples {
-			m.Tuples[i] = renderEdges(t.Edges(g))
-			m.TupleProbs[i] = ne.Profile.TP.Prob(t).RatString()
+			ids = t.AppendIDs(ids[:0])
+			row := cells[i*k : i*k+len(ids) : i*k+len(ids)]
+			for j, id := range ids {
+				e := g.EdgeByID(id)
+				row[j] = [2]int{e.U, e.V}
+			}
+			m.Tuples[i] = row
+			p := ne.Profile.TP.ProbRat(t)
+			str, ok := formatted[p]
+			if !ok {
+				str = p.String()
+				formatted[p] = str
+			}
+			m.TupleProbs[i] = str
 		}
 	} else {
 		res.Notes = append(res.Notes, fmt.Sprintf(
@@ -251,8 +270,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// solvedBufs recycles writeSolved's output buffers.
-var solvedBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// solvedBufs recycles writeSolved's output buffers. Each grows by append
+// to the largest body it has held.
+var solvedBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody bounds the buffers solvedBufs keeps, so one rare huge
 // body does not stay pinned for every later hit.
@@ -261,29 +281,91 @@ const maxPooledBody = 1 << 20
 // writeSolved writes the 200 body of POST /v1/solve, hit or miss, around
 // result, the compact JSON of a SolveResult. The bytes equal those of
 // writeJSON(w, http.StatusOK, SolveResponse{...}) without reflecting over
-// the result again: json.Indent nests the stored bytes one level deep
+// the result again: appendIndent nests the stored bytes one level deep
 // between a fixed prefix and the "cached"/"solve_ms" suffix, and solveMS
 // is formatted by json.Marshal as the encoder would.
 func writeSolved(w http.ResponseWriter, result []byte, cached bool, solveMS float64) {
-	buf := solvedBufs.Get().(*bytes.Buffer)
-	buf.WriteString("{\n  \"result\": ")
-	// Neither encoding call can fail: result came from json.Marshal, and
-	// a latency is a finite float.
-	_ = json.Indent(buf, result, "  ", "  ")
-	buf.WriteString(",\n  \"cached\": ")
-	buf.WriteString(strconv.FormatBool(cached))
-	buf.WriteString(",\n  \"solve_ms\": ")
+	pooled := solvedBufs.Get().(*[]byte)
+	buf := append((*pooled)[:0], "{\n  \"result\": "...)
+	buf = appendIndent(buf, result, "  ", "  ")
+	buf = append(buf, ",\n  \"cached\": "...)
+	buf = strconv.AppendBool(buf, cached)
+	buf = append(buf, ",\n  \"solve_ms\": "...)
+	// A latency is a finite float, which json.Marshal always encodes.
 	ms, _ := json.Marshal(solveMS)
-	buf.Write(ms)
-	buf.WriteString("\n}\n")
+	buf = append(buf, ms...)
+	buf = append(buf, "\n}\n"...)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	// A failed write means the client hung up; nothing to do.
-	_, _ = w.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledBody {
-		buf.Reset()
-		solvedBufs.Put(buf)
+	_, _ = w.Write(buf)
+	if cap(buf) <= maxPooledBody {
+		*pooled = buf
+		solvedBufs.Put(pooled)
 	}
+}
+
+// appendIndent appends src indented as json.Indent(dst, src, prefix,
+// indent) would, byte for byte, without validating it: src must be valid
+// JSON with no insignificant whitespace, as json.Marshal writes it. Only
+// the structural bytes outside strings, {}[],:, change the layout, so the
+// indenter tracks string state and copies every other byte unchanged.
+func appendIndent(dst, src []byte, prefix, indent string) []byte {
+	// line is a newline, the prefix and the indents of the deepest level
+	// reached so far; a line break at depth d appends a prefix of it.
+	line := []byte("\n" + prefix)
+	newline := func(dst []byte, depth int) []byte {
+		n := 1 + len(prefix) + depth*len(indent)
+		for len(line) < n {
+			line = append(line, indent...)
+		}
+		return append(dst, line[:n]...)
+	}
+	depth := 0
+	// needIndent defers the newline after an opening bracket, so that an
+	// empty object or array stays {} or [], as json.Indent writes it.
+	needIndent := false
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if needIndent && c != '}' && c != ']' {
+			needIndent = false
+			depth++
+			dst = newline(dst, depth)
+		}
+		switch c {
+		case '"':
+			// Copy the string through its closing quote; a backslash
+			// escapes the byte after it, so \" does not end the string.
+			j := i + 1
+			for src[j] != '"' {
+				if src[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			dst = append(dst, src[i:j+1]...)
+			i = j
+		case '{', '[':
+			needIndent = true
+			dst = append(dst, c)
+		case ',':
+			dst = append(dst, c)
+			dst = newline(dst, depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		case '}', ']':
+			if needIndent {
+				needIndent = false
+			} else {
+				depth--
+				dst = newline(dst, depth)
+			}
+			dst = append(dst, c)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // drainBody discards any unread request body so keep-alive connections
